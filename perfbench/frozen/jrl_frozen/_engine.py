@@ -1,0 +1,230 @@
+"""Vectorized kernels for tuple searches over group-ring coefficients.
+
+Elements are numpy rows of ring-element indices, one column per group
+element.  Everything here is a faithful restatement of the scalar
+arithmetic in groupring.py; the test suite pins the two against each
+other on sampled inputs.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
+
+from .groupring import GroupRing
+
+_BLOCK_CELLS = 1 << 22  # target workload per final-level block
+
+
+class TableContext:
+    """numpy handles for one (ring, group) pair."""
+
+    def __init__(self, rg: GroupRing):
+        ring, group = rg.ring, rg.group
+        self.rg = rg
+        self.radd = np.asarray(ring.add_table, dtype=np.int16)
+        self.rmul = np.asarray(ring.mul_table, dtype=np.int16)
+        self.rneg = np.asarray([ring.neg(a) for a in ring.elements()], dtype=np.int16)
+        self.gmul = np.asarray(group.table, dtype=np.int16)
+        self.nr = ring.order
+        self.ng = group.order
+        self.rzero = ring.zero
+        ids = np.arange(self.nr)
+        # When the addition table happens to be XOR on indices, or plain
+        # integer addition mod the order, the convolution fold can run as
+        # native arithmetic instead of repeated table gathers.
+        self.add_is_xor = bool(
+            self.rzero == 0
+            and np.array_equal(self.radd, np.bitwise_xor.outer(ids, ids)))
+        self.add_is_mod = bool(
+            self.rzero == 0
+            and np.array_equal(self.radd, (ids[:, None] + ids[None, :]) % self.nr))
+        ginv = np.empty(self.ng, dtype=np.int16)
+        ident = group.identity
+        for a in range(self.ng):
+            ginv[a] = int(np.flatnonzero(self.gmul[a] == ident)[0])
+        self.ginv_cols = self.gmul[ginv]   # [g, h] -> g^-1 * h
+
+    def mono_rows(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+        rows = np.full((len(pairs), self.ng), self.rzero, dtype=np.int16)
+        for i, (r, g) in enumerate(pairs):
+            rows[i, g] = r
+        return rows
+
+    def zero_row_mask(self, rows: np.ndarray) -> np.ndarray:
+        return (rows == self.rzero).all(axis=1)
+
+
+def table_context(rg: GroupRing) -> TableContext:
+    cached = getattr(rg, "_tables", None)
+    if cached is None:
+        cached = TableContext(rg)
+        rg._tables = cached
+    return cached
+
+
+def product_with_monomial(ctx: TableContext, P: np.ndarray, r: int, g: int,
+                          op: str) -> np.ndarray:
+    """circle or bracket of every row of P with the monomial r*g.
+
+    Multiplying by a monomial permutes columns and rescales coefficients,
+    so each side costs one gather instead of a full convolution.
+    """
+    right = np.empty_like(P)
+    right[:, ctx.gmul[:, g]] = ctx.rmul[P, r]      # (p * rg)[h*g] = p[h]*r
+    left = np.empty_like(P)
+    left[:, ctx.gmul[g, :]] = ctx.rmul[r, P]       # (rg * p)[g*h] = r*p[h]
+    if op == "circle":
+        return ctx.radd[right, left]
+    return ctx.radd[right, ctx.rneg[left]]
+
+
+_CUBE_CELLS = 1 << 24
+
+
+def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # out[:, h] = sum over g of A[:, g] * B[:, g^-1 h]; the per-term ring
+    # products still go through the table, only the fold is native.
+    terms = ctx.rmul[A[:, :, None], B[:, ctx.ginv_cols]]
+    if ctx.add_is_xor:
+        return np.bitwise_xor.reduce(terms, axis=1)
+    return (np.add.reduce(terms.astype(np.int32), axis=1) % ctx.nr).astype(np.int16)
+
+
+def rows_mul(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-aligned convolution product: out[i] = A[i] * B[i]."""
+    n = A.shape[0]
+    if (ctx.add_is_xor or ctx.add_is_mod) and n > 0:
+        step = max(1, _CUBE_CELLS // (ctx.ng * ctx.ng))
+        if n <= step:
+            return _rows_mul_fold(ctx, A, B)
+        out = np.empty_like(A)
+        for lo in range(0, n, step):
+            out[lo:lo + step] = _rows_mul_fold(ctx, A[lo:lo + step], B[lo:lo + step])
+        return out
+    out = np.full_like(A, ctx.rzero)
+    for g in range(ctx.ng):
+        col = A[:, g]
+        live = np.flatnonzero(col != ctx.rzero)
+        if live.size == 0:
+            continue
+        cols = ctx.gmul[g]
+        if live.size * 4 <= n * 3:
+            ix = np.ix_(live, cols)
+            out[ix] = ctx.radd[out[ix], ctx.rmul[col[live][:, None], B[live]]]
+        else:
+            out[:, cols] = ctx.radd[out[:, cols], ctx.rmul[col[:, None], B]]
+    return out
+
+
+def rows_add(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return ctx.radd[A, B]
+
+
+def rows_neg(ctx: TableContext, A: np.ndarray) -> np.ndarray:
+    return ctx.rneg[A]
+
+
+def rows_circle(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return ctx.radd[rows_mul(ctx, A, B), rows_mul(ctx, B, A)]
+
+
+def rows_bracket(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return ctx.radd[rows_mul(ctx, A, B), ctx.rneg[rows_mul(ctx, B, A)]]
+
+
+def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
+                     op: str) -> np.ndarray:
+    """circle/bracket of every row of P with one fixed element row."""
+    pb = np.full_like(P, ctx.rzero)
+    bp = np.full_like(P, ctx.rzero)
+    for h in range(ctx.ng):
+        if brow[h] != ctx.rzero:
+            cols = ctx.gmul[:, h]
+            pb[:, cols] = ctx.radd[pb[:, cols], ctx.rmul[P, brow[h]]]
+    for g in range(ctx.ng):
+        if brow[g] != ctx.rzero:
+            cols = ctx.gmul[g, :]
+            bp[:, cols] = ctx.radd[bp[:, cols], ctx.rmul[brow[g], P]]
+    if op == "circle":
+        return ctx.radd[pb, bp]
+    return ctx.radd[pb, ctx.rneg[bp]]
+
+
+def unique_rows_keep_first(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in original order, keeping each value's first occurrence."""
+    if arr.shape[0] == 0:
+        return arr, np.empty(0, dtype=np.int64)
+    view = np.ascontiguousarray(arr).view(
+        [("", arr.dtype)] * arr.shape[1]).ravel()
+    first = np.unique(view, return_index=True)[1]
+    keep = np.sort(first)
+    return arr[keep], keep
+
+
+def candidate_block(ctx: TableContext, V: np.ndarray,
+                    monos: Sequence[Tuple[int, int]], op: str) -> np.ndarray:
+    """All products of rows in V with every monomial, ordered row-major
+    (V index major, monomial index minor)."""
+    m, s = V.shape[0], len(monos)
+    out = np.empty((m, s, ctx.ng), dtype=V.dtype)
+    for j, (r, g) in enumerate(monos):
+        out[:, j, :] = product_with_monomial(ctx, V, r, g, op)
+    return out.reshape(m * s, ctx.ng)
+
+
+def scan_final_level(
+    ctx: TableContext,
+    V: np.ndarray,
+    monos: Sequence[Tuple[int, int]],
+    op: str,
+    jobs: int = 1,
+) -> Tuple[int, int] | None:
+    """Find the first (row index into V, monomial index) whose product is
+    nonzero, treating candidates in (row, monomial) order; None if all vanish.
+
+    Rows are split into blocks; with jobs > 1 the blocks run on a thread
+    pool but are still combined in order, so the answer never depends on
+    the worker count.
+    """
+    m, s = V.shape[0], len(monos)
+    if m == 0:
+        return None
+    block = max(1, _BLOCK_CELLS // max(1, s * ctx.ng))
+    spans = [(lo, min(lo + block, m)) for lo in range(0, m, block)]
+
+    def scan(span: Tuple[int, int]) -> Tuple[int, int] | None:
+        lo, hi = span
+        chunk = V[lo:hi]
+        best: Tuple[int, int] | None = None
+        for j, (r, g) in enumerate(monos):
+            out = product_with_monomial(ctx, chunk, r, g, op)
+            nz = ~ctx.zero_row_mask(out)
+            if nz.any():
+                i = int(np.argmax(nz))
+                if best is None or (i, j) < best:
+                    best = (i, j)
+        if best is None:
+            return None
+        return (best[0] + lo, best[1])
+
+    if jobs <= 1 or len(spans) == 1:
+        for span in spans:
+            hit = scan(span)
+            if hit is not None:
+                return hit
+        return None
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(scan, span) for span in spans]
+        result: Tuple[int, int] | None = None
+        for fut in futures:  # submission order == row order
+            hit = fut.result()
+            if hit is not None:
+                result = hit
+                break
+        for fut in futures:
+            fut.cancel()
+    return result

@@ -1,0 +1,331 @@
+"""Finite groups as 0-based multiplication tables, with the structure
+queries the classifier needs: derived subgroup, center, commutators,
+and a coarse isomorphism tag for small subgroups."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Sequence
+
+import numpy as np
+
+from .errors import NoIdentity, NoInverse, NotAssociative, UnknownName, ValidationError
+
+_ASSOC_CHUNK = 64  # rows per broadcast slab; keeps the (chunk, n, n) cube small
+
+
+def _as_table(table: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    arr = np.asarray(table, dtype=np.int16)
+    if arr.shape != (n, n):
+        raise ValidationError(f"table shape {arr.shape} does not match order {n}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = np.argwhere((arr < 0) | (arr >= n))[0]
+        raise ValidationError(
+            f"table entry {int(arr[tuple(bad)])} at {tuple(int(v) for v in bad)} "
+            f"out of range [0,{n - 1}]"
+        )
+    return arr
+
+
+def _first_assoc_failure(table: np.ndarray) -> tuple | None:
+    """Return the first (a, b, c) with (ab)c != a(bc), scanning a-major."""
+    n = table.shape[0]
+    for lo in range(0, n, _ASSOC_CHUNK):
+        hi = min(lo + _ASSOC_CHUNK, n)
+        ab = table[lo:hi, :]                       # (m, n)
+        left = table[ab[:, :, None], np.arange(n)[None, None, :]]
+        right = table[np.arange(lo, hi)[:, None, None], table[None, :, :]]
+        bad = np.argwhere(left != right)
+        if bad.size:
+            a, b, c = bad[0]
+            return (int(a) + lo, int(b), int(c))
+    return None
+
+
+class FiniteGroup:
+    """Immutable finite group over element indices 0..order-1.
+
+    The multiplication table is validated exhaustively at construction;
+    instances never change afterwards.
+    """
+
+    def __init__(self, name: str, mul_table: Sequence[Sequence[int]], identity: int):
+        n = len(mul_table)
+        table = _as_table(mul_table, n)
+        if not (0 <= identity < n):
+            raise NoIdentity(f"identity index {identity} out of range", (identity,))
+        # identity acts trivially on both sides
+        for g in range(n):
+            if table[identity, g] != g or table[g, identity] != g:
+                raise NoIdentity(f"element {identity} is not an identity at {g}", (identity, g))
+        fail = _first_assoc_failure(table)
+        if fail is not None:
+            raise NotAssociative(f"(a*b)*c != a*(b*c) at {fail}", fail)
+        inv = np.full(n, -1, dtype=np.int16)
+        for g in range(n):
+            hits = np.flatnonzero(table[g] == identity)
+            if hits.size == 0:
+                raise NoInverse(f"element {g} has no right inverse", (g,))
+            inv[g] = hits[0]
+            if table[hits[0], g] != identity:
+                raise NoInverse(f"element {g} has no two-sided inverse", (g,))
+        self.name = name
+        self.order = n
+        self.identity = int(identity)
+        self.table = table
+        self.table.setflags(write=False)
+        self._inv = inv
+        self._rows: List[List[int]] = [[int(x) for x in row] for row in table]
+        self._abelian: bool | None = None
+
+    def __repr__(self) -> str:
+        return f"FiniteGroup({self.name!r}, order={self.order})"
+
+    def mul(self, a: int, b: int) -> int:
+        return self._rows[a][b]
+
+    def inv(self, a: int) -> int:
+        return int(self._inv[a])
+
+    def conj(self, x: int, y: int) -> int:
+        """x conjugated by y: y^-1 x y."""
+        return self.mul(self.mul(self.inv(y), x), y)
+
+    def commutator(self, x: int, y: int) -> int:
+        """x^-1 y^-1 x y."""
+        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
+
+    def element_order(self, a: int) -> int:
+        k, acc = 1, a
+        while acc != self.identity:
+            acc = self.mul(acc, a)
+            k += 1
+        return k
+
+    @property
+    def is_abelian(self) -> bool:
+        if self._abelian is None:
+            self._abelian = bool(np.array_equal(self.table, self.table.T))
+        return self._abelian
+
+    def elements(self) -> range:
+        return range(self.order)
+
+
+def validate_group(name: str, mul_table: Sequence[Sequence[int]], identity: int) -> FiniteGroup:
+    """Build a FiniteGroup, running every axiom check."""
+    return FiniteGroup(name, mul_table, identity)
+
+
+# ---------------------------------------------------------------------------
+# subgroups and structure queries
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Subgroup:
+    """A subgroup given by its sorted member indices inside a parent group."""
+
+    parent: FiniteGroup
+    members: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, g: int) -> bool:
+        return g in set(self.members)
+
+
+def _closure(G: FiniteGroup, seed: set) -> tuple:
+    """Close a subset under products and inverses."""
+    out = set(seed)
+    out.add(G.identity)
+    frontier = list(out)
+    while frontier:
+        g = frontier.pop()
+        for h in list(out):
+            for k in (G.mul(g, h), G.mul(h, g)):
+                if k not in out:
+                    out.add(k)
+                    frontier.append(k)
+        gi = G.inv(g)
+        if gi not in out:
+            out.add(gi)
+            frontier.append(gi)
+    return tuple(sorted(out))
+
+
+def group_commutator(G: FiniteGroup, x: int, y: int) -> int:
+    return G.commutator(x, y)
+
+
+def conjugate(G: FiniteGroup, x: int, y: int) -> int:
+    return G.conj(x, y)
+
+
+def derived_subgroup(G: FiniteGroup) -> Subgroup:
+    """Subgroup generated by all commutators."""
+    comms = {G.commutator(x, y) for x in G.elements() for y in G.elements()}
+    return Subgroup(G, _closure(G, comms))
+
+
+def center(G: FiniteGroup) -> Subgroup:
+    members = [g for g in G.elements() if all(G.mul(g, h) == G.mul(h, g) for h in G.elements())]
+    return Subgroup(G, tuple(members))
+
+
+def is_central(G: FiniteGroup, members: Sequence[int]) -> bool:
+    z = set(center(G).members)
+    return all(m in z for m in members)
+
+
+def squares_central(G: FiniteGroup) -> bool:
+    """True when every squared element commutes with the whole group."""
+    z = set(center(G).members)
+    return all(G.mul(g, g) in z for g in G.elements())
+
+
+def commutator_span_condition(G: FiniteGroup) -> bool:
+    """True when every nontrivial commutator (x,y) has all commutators
+    of the form (y,z) inside the cyclic subgroup it generates."""
+    for x in G.elements():
+        for y in G.elements():
+            s = G.commutator(x, y)
+            if s == G.identity:
+                continue
+            span = set()
+            acc = s
+            while acc not in span:
+                span.add(acc)
+                acc = G.mul(acc, s)
+            span.add(G.identity)
+            for z in G.elements():
+                if G.commutator(y, z) not in span:
+                    return False
+    return True
+
+
+def iso_class(H: Subgroup) -> str:
+    """Coarse isomorphism tag: "C1", "C<n>" for cyclic, "C2xC2", else "other".
+
+    Determined by the order and the multiset of element orders, which
+    suffices for the subgroups the classifier inspects.
+    """
+    n = H.order
+    if n == 1:
+        return "C1"
+    G = H.parent
+    orders = sorted(G.element_order(m) for m in H.members)
+    if max(orders) == n:
+        return f"C{n}"
+    if n == 4 and orders == [1, 2, 2, 2]:
+        return "C2xC2"
+    return "other"
+
+
+def is_cyclic(H: Subgroup) -> bool:
+    return H.order == 1 or any(H.parent.element_order(m) == H.order for m in H.members)
+
+
+# ---------------------------------------------------------------------------
+# built-in groups
+# ---------------------------------------------------------------------------
+
+def cyclic_group(n: int) -> FiniteGroup:
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return FiniteGroup(f"C{n}", table, 0)
+
+
+def dihedral_group_8() -> FiniteGroup:
+    """Symmetries of the square, elements s^p r^i with index 4p + i.
+
+    Presentation r^4 = s^2 = 1, s r s = r^-1.
+    """
+    def mul(a: int, b: int) -> int:
+        p, i = divmod(a, 4)
+        q, j = divmod(b, 4)
+        rot = (-i if q else i) + j
+        return ((p + q) % 2) * 4 + rot % 4
+
+    table = [[mul(a, b) for b in range(8)] for a in range(8)]
+    return FiniteGroup("D4", table, 0)
+
+
+_QUAT_UNITS = {
+    # (u, v) -> (sign, unit) for units 0=1, 1=i, 2=j, 3=k
+    (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
+    (1, 0): (0, 1), (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
+    (2, 0): (0, 2), (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
+    (3, 0): (0, 3), (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
+}
+
+
+def quaternion_group() -> FiniteGroup:
+    """The eight quaternion units; index = unit + 4*sign with units 1,i,j,k."""
+    def mul(a: int, b: int) -> int:
+        sa, ua = divmod(a, 4)
+        sb, ub = divmod(b, 4)
+        flip, u = _QUAT_UNITS[(ua, ub)]
+        return u + 4 * ((sa + sb + flip) % 2)
+
+    table = [[mul(a, b) for b in range(8)] for a in range(8)]
+    return FiniteGroup("Q8", table, 0)
+
+
+_S3_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def symmetric_group_3() -> FiniteGroup:
+    """Permutations of three points in lexicographic order; a*b applies b first."""
+    index = {p: i for i, p in enumerate(_S3_PERMS)}
+
+    def mul(a: int, b: int) -> int:
+        pa, pb = _S3_PERMS[a], _S3_PERMS[b]
+        return index[tuple(pa[pb[x]] for x in range(3))]
+
+    table = [[mul(a, b) for b in range(6)] for a in range(6)]
+    return FiniteGroup("S3", table, 0)
+
+
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
+    """Componentwise product; index encodes (a, b) as a*|H| + b."""
+    m = H.order
+
+    def mul(x: int, y: int) -> int:
+        a, b = divmod(x, m)
+        c, d = divmod(y, m)
+        return G.mul(a, c) * m + H.mul(b, d)
+
+    n = G.order * m
+    table = [[mul(x, y) for y in range(n)] for x in range(n)]
+    return FiniteGroup(f"{G.name}x{H.name}", table, G.identity * m + H.identity)
+
+
+_GROUP_ATOMS = {
+    "D4": dihedral_group_8,
+    "Q8": quaternion_group,
+    "S3": symmetric_group_3,
+}
+
+BUILTIN_GROUP_NAMES = ("C1", "C2", "C4", "C8", "C2xC2", "D4", "Q8", "S3", "D4xD4")
+
+
+@lru_cache(maxsize=None)
+def builtin_group(name: str) -> FiniteGroup:
+    """Look up a built-in group; 'x'-joined names build direct products."""
+    parts = name.split("x")
+    atoms = []
+    for part in parts:
+        if part in _GROUP_ATOMS:
+            atoms.append(_GROUP_ATOMS[part]())
+        elif part.startswith("C") and part[1:].isdigit() and int(part[1:]) >= 1:
+            atoms.append(cyclic_group(int(part[1:])))
+        else:
+            raise UnknownName(f"unknown group {name!r}")
+    out = atoms[0]
+    for extra in atoms[1:]:
+        out = direct_product(out, extra)
+    if out.name != name:  # keep the requested spelling, e.g. C2xC2
+        out.name = name
+    return out

@@ -1,0 +1,303 @@
+"""Jordan-nilpotency searches over group rings.
+
+The main oracle reduces "every left-normed circle product of degree n
+vanishes" to the same statement over spanning monomials (additive ring
+generators times group elements); the circle product is additive in each
+slot, so the two statements agree.  exhaustive_check decides the same
+question over the full element space with no such reduction and is the
+independent witness the reduction is tested against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
+
+from . import _engine
+from .errors import TooLarge
+from .groupring import GroupRing, GroupRingElement
+from .groups import builtin_group
+from .rings import FiniteRing
+
+EXHAUSTIVE_CAP = 4096
+
+Context = Union[GroupRing, FiniteRing]
+
+
+def _as_group_ring(context: Context) -> GroupRing:
+    """Group rings pass through; a bare ring is viewed over the one-element
+    group, which leaves its arithmetic untouched."""
+    if isinstance(context, GroupRing):
+        return context
+    wrapped = getattr(context, "_trivial_context", None)
+    if wrapped is None:
+        wrapped = GroupRing(context, builtin_group("C1"))
+        context._trivial_context = wrapped
+    return wrapped
+
+
+@dataclass(frozen=True)
+class SpanningSet:
+    """Monomials that additively span a context, in ring-generator-major,
+    group-index-minor order."""
+
+    context: Context
+    monomials: Tuple[GroupRingElement, ...]
+    pairs: Tuple[Tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
+def spanning_set(context: Context) -> SpanningSet:
+    rg = _as_group_ring(context)
+    gens = rg.ring.additive_generating_set()
+    pairs = tuple((r, g) for r in gens for g in rg.group.elements())
+    monos = tuple(rg.embed(r, g) for r, g in pairs)
+    # the generators span R additively by construction; every group index
+    # appears, so the monomials span the whole coefficient module
+    covered = {g for _, g in pairs}
+    if gens and covered != set(rg.group.elements()):
+        raise AssertionError("spanning monomials missed a group element")
+    return SpanningSet(context, monos, pairs)
+
+
+@dataclass(frozen=True)
+class JordanSearchResult:
+    """Outcome of a vanishing scan.
+
+    Truthiness mirrors ``vanishes``; on failure ``indices`` holds the
+    lexicographically first violating tuple of monomial positions and
+    ``witness`` the corresponding elements.
+    """
+
+    vanishes: bool
+    indices: Optional[Tuple[int, ...]] = None
+    witness: Optional[Tuple[GroupRingElement, ...]] = None
+
+    def __bool__(self) -> bool:
+        return self.vanishes
+
+
+def _nonzero_unique(ctx: _engine.TableContext, cand: np.ndarray,
+                    prefixes: Optional[np.ndarray]):
+    """Drop zero rows, dedup by value keeping first (prefix-lex least)
+    occurrence; orders output by original candidate position."""
+    keep_nz = ~ctx.zero_row_mask(cand)
+    cand = cand[keep_nz]
+    if prefixes is not None:
+        prefixes = prefixes[keep_nz]
+    uniq, keep = _engine.unique_rows_keep_first(cand)
+    if prefixes is not None:
+        prefixes = prefixes[keep]
+    return uniq, prefixes
+
+
+def _extend_prefixes(prefixes: np.ndarray, count: int) -> np.ndarray:
+    m = prefixes.shape[0]
+    reps = np.repeat(prefixes, count, axis=0)
+    tail = np.tile(np.arange(count, dtype=prefixes.dtype), m)[:, None]
+    return np.concatenate([reps, tail], axis=1)
+
+
+_CHUNK_CELLS = 1 << 23  # bound on candidate cells materialised at once
+
+
+def _next_level(ctx: _engine.TableContext, V: np.ndarray,
+                prefixes: Optional[np.ndarray],
+                pairs: Sequence[Tuple[int, int]], op: str):
+    """Extend every partial in V by every monomial, pruning zeros and
+    merging equal values.  Work proceeds in row chunks so the candidate
+    array never balloons; chunk order preserves the global candidate
+    order, so first-occurrence dedup still finds prefix-lex minima."""
+    s = len(pairs)
+    chunk = max(1, _CHUNK_CELLS // max(1, s * ctx.ng))
+    cands: List[np.ndarray] = []
+    prefs: List[np.ndarray] = []
+    for lo in range(0, V.shape[0], chunk):
+        hi = min(lo + chunk, V.shape[0])
+        cand = _engine.candidate_block(ctx, V[lo:hi], pairs, op)
+        pre = _extend_prefixes(prefixes[lo:hi], s) if prefixes is not None else None
+        cand, pre = _nonzero_unique(ctx, cand, pre)
+        if cand.shape[0]:
+            cands.append(cand)
+            if pre is not None:
+                prefs.append(pre)
+    if not cands:
+        empty = np.empty((0, ctx.ng), dtype=V.dtype)
+        return empty, (np.empty((0, prefixes.shape[1] + 1), dtype=np.int64)
+                       if prefixes is not None else None)
+    cand = np.concatenate(cands, axis=0)
+    pre = np.concatenate(prefs, axis=0) if prefixes is not None else None
+    return _nonzero_unique(ctx, cand, pre)
+
+
+def vanishes_left_normed(S: SpanningSet, n: int, jobs: int = 1) -> JordanSearchResult:
+    """Decide whether every degree-n left-normed circle product over S is zero.
+
+    Partial products are built level by level: only nonzero partials are
+    extended (a zero partial stays zero under every further factor), and
+    equal partial values are merged while remembering the lexicographically
+    least index prefix, so the reported counterexample is the first one in
+    tuple order.
+    """
+    if n < 2:
+        raise ValueError(f"degree must be >= 2, got {n}")
+    rg = _as_group_ring(S.context)
+    ctx = _engine.table_context(rg)
+    if len(S.pairs) == 0:
+        return JordanSearchResult(True)
+    V = ctx.mono_rows(S.pairs)
+    prefixes = np.arange(len(S.pairs), dtype=np.int64)[:, None]
+    V, prefixes = _nonzero_unique(ctx, V, prefixes)
+    for _level in range(2, n):
+        if V.shape[0] == 0:
+            return JordanSearchResult(True)
+        V, prefixes = _next_level(ctx, V, prefixes, S.pairs, "circle")
+    if V.shape[0] == 0:
+        return JordanSearchResult(True)
+    hit = _engine.scan_final_level(ctx, V, S.pairs, "circle", jobs=jobs)
+    if hit is None:
+        return JordanSearchResult(True)
+    row, j = hit
+    indices = tuple(int(x) for x in prefixes[row]) + (j,)
+    witness = tuple(S.monomials[i] for i in indices)
+    return JordanSearchResult(False, indices, witness)
+
+
+def minimal_jordan_index(S: SpanningSet, max_n: int = 6, jobs: int = 1) -> Optional[int]:
+    """Least n in [2, max_n] at which every degree-n product vanishes,
+    or None when no such n exists within the bound.
+
+    Vanishing is monotone in the degree (a longer product factors through
+    a shorter one), so the scan stops at the first vanishing level.
+    """
+    if max_n < 2:
+        raise ValueError(f"bound must be >= 2, got {max_n}")
+    rg = _as_group_ring(S.context)
+    ctx = _engine.table_context(rg)
+    if len(S.pairs) == 0:
+        return 2
+    V = ctx.mono_rows(S.pairs)
+    V, _ = _nonzero_unique(ctx, V, None)
+    for level in range(2, max_n + 1):
+        if V.shape[0] == 0:
+            return level
+        V, _ = _next_level(ctx, V, None, S.pairs, "circle")
+        if V.shape[0] == 0:
+            return level
+    return None
+
+
+def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
+    """Same scan for the Lie bracket; boolean only."""
+    if n < 2:
+        raise ValueError(f"degree must be >= 2, got {n}")
+    rg = _as_group_ring(S.context)
+    ctx = _engine.table_context(rg)
+    if len(S.pairs) == 0:
+        return True
+    V = ctx.mono_rows(S.pairs)
+    V, _ = _nonzero_unique(ctx, V, None)
+    for _level in range(2, n + 1):
+        if V.shape[0] == 0:
+            return True
+        V, _ = _next_level(ctx, V, None, S.pairs, "bracket")
+    return V.shape[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# full-space oracle
+# ---------------------------------------------------------------------------
+
+def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
+    """Pairwise circle products over every element of the context, as a
+    (size, size) table of element ids.  Cached on the context; built by
+    plain convolution, no spanning shortcut."""
+    cached = getattr(rg, "_full_circle", None)
+    if cached is not None:
+        return cached
+    ctx = _engine.table_context(rg)
+    size = rg.size
+    powers = (ctx.nr ** np.arange(ctx.ng, dtype=np.int64))
+    digits = (np.arange(size, dtype=np.int64)[:, None] // powers) % ctx.nr
+    rows = digits.astype(np.int16)
+    table = np.empty((size, size), dtype=np.int16)
+    for b in range(size):
+        prod = _engine.product_with_row(ctx, rows, rows[b], "circle")
+        table[:, b] = prod.astype(np.int64) @ powers
+    zero_id = int(np.full(ctx.ng, ctx.rzero, dtype=np.int64) @ powers)
+    rg._full_circle = (table, zero_id)
+    return table, zero_id
+
+
+def exhaustive_check(context: Context, n: int) -> bool:
+    """Brute-force decision over all n-tuples of actual elements.
+
+    Walks the set of degree-k partial values instead of materialising the
+    tuple list; that set is exact (no linearity is assumed anywhere), so
+    the verdict equals the literal nested loop.  Contexts above
+    EXHAUSTIVE_CAP elements are refused.
+    """
+    if n < 2:
+        raise ValueError(f"degree must be >= 2, got {n}")
+    rg = _as_group_ring(context)
+    if rg.size > EXHAUSTIVE_CAP:
+        raise TooLarge(
+            f"{rg.name} has {rg.size} elements, cap is {EXHAUSTIVE_CAP}")
+    table, zero_id = _full_circle_table(rg)
+    values = np.arange(rg.size, dtype=np.int64)
+    values = values[values != zero_id]
+    for _level in range(2, n + 1):
+        if values.size == 0:
+            return True
+        values = np.unique(table[values, :])
+        values = values[values != zero_id]
+    return values.size == 0
+
+
+# ---------------------------------------------------------------------------
+# ring-level circle conditions
+# ---------------------------------------------------------------------------
+
+_FULL_LOOP_LIMIT = 32
+
+
+@dataclass(frozen=True)
+class RingConditions:
+    """Circle-product facts about a bare ring used by the classifier."""
+
+    two_circle_zero: bool        # 2(a o b) = 0 for all a, b
+    circle_circle_zero: bool     # (a o b) o c = 0 for all a, b, c
+    circle_square_zero: bool     # (a o b)(c o d) = 0 for all a, b, c, d
+    jordan_index_upper: Optional[int]  # least vanishing degree within bound
+
+
+def ring_conditions(R: FiniteRing, bound: int = 6) -> RingConditions:
+    """Evaluate the circle conditions, by full loops for small rings and
+    over additive-generator slots (each condition is additive per slot)
+    for larger ones."""
+    if R.order <= _FULL_LOOP_LIMIT:
+        radd = np.asarray(R.add_table, dtype=np.int16)
+        rmul = np.asarray(R.mul_table, dtype=np.int16)
+        circ = radd[rmul, rmul.T]
+        two = bool((radd[circ, circ] == R.zero).all())
+        vals = np.unique(circ)
+        cc = bool((circ[vals, :] == R.zero).all())
+        sq = bool((rmul[vals[:, None], vals[None, :]] == R.zero).all())
+    else:
+        gens = R.additive_generating_set()
+        two = all(R.dbl(R.circle(a, b)) == R.zero for a in gens for b in gens)
+        cc = all(R.circle(R.circle(a, b), c) == R.zero
+                 for a in gens for b in gens for c in gens)
+        sq = all(R.mul(R.circle(a, b), R.circle(c, d)) == R.zero
+                 for a in gens for b in gens for c in gens for d in gens)
+    upper = minimal_jordan_index(spanning_set(R), max_n=bound)
+    return RingConditions(two, cc, sq, upper)
+
+
+def ring_jordan_nilpotent(R: FiniteRing, n: int) -> bool:
+    """Does every degree-n left-normed circle product over R vanish?"""
+    return bool(vanishes_left_normed(spanning_set(R), n))
