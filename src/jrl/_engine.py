@@ -9,7 +9,7 @@ other on sampled inputs.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class TableContext:
 
     def __init__(self, rg: GroupRing):
         ring, group = rg.ring, rg.group
-        self.rg = rg
         self.radd = np.asarray(ring.add_table, dtype=np.int16)
         self.rmul = np.asarray(ring.mul_table, dtype=np.int16)
         self.rneg = np.asarray([ring.neg(a) for a in ring.elements()], dtype=np.int16)
@@ -41,8 +40,10 @@ class TableContext:
         self.add_is_mod = bool(
             self.rzero == 0
             and np.array_equal(self.radd, (ids[:, None] + ids[None, :]) % self.nr))
+        # the identity alone, not the GroupRing: the ring caches this
+        # context, and a back-reference would make the two a cycle
+        self.group_identity = ident = group.identity
         ginv = np.empty(self.ng, dtype=np.int16)
-        ident = group.identity
         for a in range(self.ng):
             ginv[a] = int(np.flatnonzero(self.gmul[a] == ident)[0])
         self.ginv_cols = self.gmul[ginv]   # [g, h] -> g^-1 * h
@@ -86,11 +87,17 @@ _CUBE_CELLS = 1 << 24
 
 def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # out[:, h] = sum over g of A[:, g] * B[:, g^-1 h]; the per-term ring
-    # products still go through the table, only the fold is native.
-    terms = ctx.rmul[A[:, :, None], B[:, ctx.ginv_cols]]
-    if ctx.add_is_xor:
-        return np.bitwise_xor.reduce(terms, axis=1)
-    return (np.add.reduce(terms.astype(np.int32), axis=1) % ctx.nr).astype(np.int16)
+    # products still go through the table, only the fold is native.  One g
+    # at a time keeps every temporary the size of the output.
+    flat = ctx.rmul.ravel()
+    out = np.zeros(A.shape, dtype=np.int16 if ctx.add_is_xor else np.int32)
+    for g in range(ctx.ng):
+        terms = flat[A[:, g, None].astype(np.intp) * ctx.nr + B[:, ctx.ginv_cols[g]]]
+        if ctx.add_is_xor:
+            out ^= terms
+        else:
+            out += terms
+    return out if ctx.add_is_xor else (out % ctx.nr).astype(np.int16)
 
 
 def rows_mul(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -153,14 +160,60 @@ def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
     return ctx.radd[pb, ctx.rneg[bp]]
 
 
+_PAIR_BLOCK = 4096  # adjacent equal-key pairs compared per block
+
+
+def _hash_weights(count: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers, one per key column: a Weyl sequence
+    of the golden ratio, so the keys never depend on a random generator."""
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    return steps * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
+
+
+def _row_keys(arr: np.ndarray) -> np.ndarray:
+    """One uint64 key per row: the row's bytes read as 64-bit words (each
+    entry cast on its own when the row width is not a whole number of
+    words), mixed in column by column."""
+    if arr.shape[1] * arr.itemsize % 8 == 0:
+        cols = np.ascontiguousarray(arr).view(np.uint64)
+    else:
+        cols = arr
+    weights = _hash_weights(cols.shape[1])
+    key = np.zeros(arr.shape[0], dtype=np.uint64)
+    tmp = np.empty_like(key)
+    for j in range(cols.shape[1]):
+        key ^= cols[:, j].astype(np.uint64, copy=False)
+        key *= weights[j]
+        np.right_shift(key, np.uint64(32), out=tmp)
+        key ^= tmp
+    return key
+
+
 def unique_rows_keep_first(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in original order, keeping each value's first occurrence."""
+    """Distinct rows in original order, keeping each value's first occurrence.
+
+    The searches feed candidates in prefix-lexicographic order, so the
+    first occurrence of a value carries its least index prefix; keeping
+    any other occurrence would change the reported witness.  Rows are
+    sorted by a 64-bit key (stably, so ties keep input order) and every
+    pair of neighbours with equal keys is compared exactly; any key
+    collision between different rows falls back to the exact row sort.
+    """
     if arr.shape[0] == 0:
         return arr, np.empty(0, dtype=np.int64)
-    view = np.ascontiguousarray(arr).view(
-        [("", arr.dtype)] * arr.shape[1]).ravel()
-    first = np.unique(view, return_index=True)[1]
-    keep = np.sort(first)
+    keys = _row_keys(arr)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]
+    keep = np.sort(order[np.concatenate(([True], ~same))])
+    tied = np.flatnonzero(same)
+    for lo in range(0, tied.size, _PAIR_BLOCK):
+        at = tied[lo:lo + _PAIR_BLOCK]
+        if not np.array_equal(arr[order[at]], arr[order[at + 1]]):
+            view = np.ascontiguousarray(arr).view(
+                [("", arr.dtype)] * arr.shape[1]).ravel()
+            keep = np.sort(np.unique(view, return_index=True)[1])
+            break
     return arr[keep], keep
 
 
@@ -175,13 +228,8 @@ def candidate_block(ctx: TableContext, V: np.ndarray,
     return out.reshape(m * s, ctx.ng)
 
 
-def scan_final_level(
-    ctx: TableContext,
-    V: np.ndarray,
-    monos: Sequence[Tuple[int, int]],
-    op: str,
-    jobs: int = 1,
-) -> Tuple[int, int] | None:
+def scan_final_level(ctx: TableContext, V: np.ndarray, monos: Sequence[Tuple[int, int]],
+                     op: str, jobs: int = 1) -> Tuple[int, int] | None:
     """Find the first (row index into V, monomial index) whose product is
     nonzero, treating candidates in (row, monomial) order; None if all vanish.
 
@@ -197,34 +245,18 @@ def scan_final_level(
 
     def scan(span: Tuple[int, int]) -> Tuple[int, int] | None:
         lo, hi = span
-        chunk = V[lo:hi]
-        best: Tuple[int, int] | None = None
+        hits = []
         for j, (r, g) in enumerate(monos):
-            out = product_with_monomial(ctx, chunk, r, g, op)
-            nz = ~ctx.zero_row_mask(out)
+            nz = ~ctx.zero_row_mask(product_with_monomial(ctx, V[lo:hi], r, g, op))
             if nz.any():
-                i = int(np.argmax(nz))
-                if best is None or (i, j) < best:
-                    best = (i, j)
-        if best is None:
-            return None
-        return (best[0] + lo, best[1])
+                hits.append((lo + int(np.argmax(nz)), j))
+        return min(hits, default=None)
 
     if jobs <= 1 or len(spans) == 1:
-        for span in spans:
-            hit = scan(span)
-            if hit is not None:
-                return hit
-        return None
-
+        return next((hit for hit in map(scan, spans) if hit is not None), None)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(scan, span) for span in spans]
-        result: Tuple[int, int] | None = None
-        for fut in futures:  # submission order == row order
-            hit = fut.result()
-            if hit is not None:
-                result = hit
-                break
-        for fut in futures:
-            fut.cancel()
-    return result
+        hits = pool.map(scan, spans)  # yields in row order
+        try:
+            return next((hit for hit in hits if hit is not None), None)
+        finally:
+            pool.shutdown(cancel_futures=True)

@@ -17,7 +17,7 @@ from .harness import (CatalogEntry, catalog_from_dir, crosscheck,
                       default_catalog, emit_report, has_disagreement,
                       report_lines, resolve_group, resolve_ring)
 from .identities import DEFAULT_SAMPLES, run_identity_suite, suite_passed
-from .nilpotency import minimal_jordan_index, spanning_set, vanishes_left_normed
+from .nilpotency import spanning_set, vanishes_left_normed
 from .rings import BUILTIN_RING_NAMES, builtin_ring
 
 
@@ -67,15 +67,13 @@ def _cmd_oracle(args) -> int:
     rg = GroupRing(ring, group)
     span = spanning_set(rg)
     print(f"context {rg.name}: spanning set of {len(span)} monomials")
-    index = minimal_jordan_index(span, max_n=args.max_index, jobs=args.jobs)
-    if index is not None:
-        print(f"minimal Jordan index: {index}")
+    result = vanishes_left_normed(span, args.max_index, jobs=args.jobs)
+    if result.index is not None:
+        print(f"minimal Jordan index: {result.index}")
         return 0
     print(f"not Jordan nilpotent within bound {args.max_index}")
-    result = vanishes_left_normed(span, args.max_index, jobs=args.jobs)
-    if not result.vanishes:
-        parts = " , ".join(format_element(m) for m in result.witness)
-        print(f"degree-{args.max_index} counterexample (monomials): {parts}")
+    parts = " , ".join(format_element(m) for m in result.witness)
+    print(f"degree-{args.max_index} counterexample (monomials): {parts}")
     return 0
 
 

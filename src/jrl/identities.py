@@ -38,7 +38,7 @@ def _group_tables(ctx: _engine.TableContext):
     g = ctx.gmul
     n = g.shape[0]
     idx = np.arange(n)
-    ident = ctx.rg.group.identity
+    ident = ctx.group_identity
     inv = np.empty(n, dtype=np.int16)
     for a in range(n):
         inv[a] = int(np.flatnonzero(g[a] == ident)[0])

@@ -11,7 +11,7 @@ independent witness the reduction is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +68,9 @@ def spanning_set(context: Context) -> SpanningSet:
 class JordanSearchResult:
     """Outcome of a vanishing scan.
 
-    Truthiness mirrors ``vanishes``; on failure ``indices`` holds the
+    Truthiness mirrors ``vanishes``.  ``index`` is the least degree, at
+    most the scanned one, at which every product vanishes (None when the
+    scanned degree does not vanish).  On failure ``indices`` holds the
     lexicographically first violating tuple of monomial positions and
     ``witness`` the corresponding elements.
     """
@@ -76,23 +78,19 @@ class JordanSearchResult:
     vanishes: bool
     indices: Optional[Tuple[int, ...]] = None
     witness: Optional[Tuple[GroupRingElement, ...]] = None
+    index: Optional[int] = None
 
     def __bool__(self) -> bool:
         return self.vanishes
 
 
 def _nonzero_unique(ctx: _engine.TableContext, cand: np.ndarray,
-                    prefixes: Optional[np.ndarray]):
+                    prefixes: np.ndarray):
     """Drop zero rows, dedup by value keeping first (prefix-lex least)
     occurrence; orders output by original candidate position."""
-    keep_nz = ~ctx.zero_row_mask(cand)
-    cand = cand[keep_nz]
-    if prefixes is not None:
-        prefixes = prefixes[keep_nz]
-    uniq, keep = _engine.unique_rows_keep_first(cand)
-    if prefixes is not None:
-        prefixes = prefixes[keep]
-    return uniq, prefixes
+    nz = np.flatnonzero(~ctx.zero_row_mask(cand))
+    uniq, keep = _engine.unique_rows_keep_first(cand[nz])
+    return uniq, prefixes[nz[keep]]
 
 
 def _extend_prefixes(prefixes: np.ndarray, count: int) -> np.ndarray:
@@ -105,8 +103,7 @@ def _extend_prefixes(prefixes: np.ndarray, count: int) -> np.ndarray:
 _CHUNK_CELLS = 1 << 23  # bound on candidate cells materialised at once
 
 
-def _next_level(ctx: _engine.TableContext, V: np.ndarray,
-                prefixes: Optional[np.ndarray],
+def _next_level(ctx: _engine.TableContext, V: np.ndarray, prefixes: np.ndarray,
                 pairs: Sequence[Tuple[int, int]], op: str):
     """Extend every partial in V by every monomial, pruning zeros and
     merging equal values.  Work proceeds in row chunks so the candidate
@@ -114,57 +111,53 @@ def _next_level(ctx: _engine.TableContext, V: np.ndarray,
     order, so first-occurrence dedup still finds prefix-lex minima."""
     s = len(pairs)
     chunk = max(1, _CHUNK_CELLS // max(1, s * ctx.ng))
-    cands: List[np.ndarray] = []
-    prefs: List[np.ndarray] = []
-    for lo in range(0, V.shape[0], chunk):
-        hi = min(lo + chunk, V.shape[0])
-        cand = _engine.candidate_block(ctx, V[lo:hi], pairs, op)
-        pre = _extend_prefixes(prefixes[lo:hi], s) if prefixes is not None else None
-        cand, pre = _nonzero_unique(ctx, cand, pre)
-        if cand.shape[0]:
-            cands.append(cand)
-            if pre is not None:
-                prefs.append(pre)
-    if not cands:
-        empty = np.empty((0, ctx.ng), dtype=V.dtype)
-        return empty, (np.empty((0, prefixes.shape[1] + 1), dtype=np.int64)
-                       if prefixes is not None else None)
-    cand = np.concatenate(cands, axis=0)
-    pre = np.concatenate(prefs, axis=0) if prefixes is not None else None
-    return _nonzero_unique(ctx, cand, pre)
+    parts = [_nonzero_unique(ctx, _engine.candidate_block(ctx, V[lo:lo + chunk], pairs, op),
+                             _extend_prefixes(prefixes[lo:lo + chunk], s))
+             for lo in range(0, V.shape[0], chunk)]
+    if len(parts) == 1:
+        return parts[0]
+    return _nonzero_unique(ctx, np.concatenate([c for c, _ in parts]),
+                           np.concatenate([p for _, p in parts]))
 
 
-def vanishes_left_normed(S: SpanningSet, n: int, jobs: int = 1) -> JordanSearchResult:
-    """Decide whether every degree-n left-normed circle product over S is zero.
+def _walk(S: SpanningSet, n: int, op: str, jobs: int) -> JordanSearchResult:
+    """The one level walk behind the circle and bracket searches.
 
-    Partial products are built level by level: only nonzero partials are
-    extended (a zero partial stays zero under every further factor), and
-    equal partial values are merged while remembering the lexicographically
-    least index prefix, so the reported counterexample is the first one in
-    tuple order.
+    Partial products are built level by level up to degree n-1: only
+    nonzero partials are extended (a zero partial stays zero under every
+    further factor), and equal partial values are merged while remembering
+    the lexicographically least index prefix.  A frontier that empties
+    gives the least vanishing degree at once; degree n itself is decided
+    by the early-exit final scan, whose first hit is the first violating
+    tuple in tuple order.
     """
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
-    rg = _as_group_ring(S.context)
-    ctx = _engine.table_context(rg)
     if len(S.pairs) == 0:
-        return JordanSearchResult(True)
+        return JordanSearchResult(True, index=2)
+    ctx = _engine.table_context(_as_group_ring(S.context))
     V = ctx.mono_rows(S.pairs)
     prefixes = np.arange(len(S.pairs), dtype=np.int64)[:, None]
     V, prefixes = _nonzero_unique(ctx, V, prefixes)
-    for _level in range(2, n):
-        if V.shape[0] == 0:
-            return JordanSearchResult(True)
-        V, prefixes = _next_level(ctx, V, prefixes, S.pairs, "circle")
     if V.shape[0] == 0:
-        return JordanSearchResult(True)
-    hit = _engine.scan_final_level(ctx, V, S.pairs, "circle", jobs=jobs)
+        return JordanSearchResult(True, index=2)
+    for degree in range(2, n):
+        V, prefixes = _next_level(ctx, V, prefixes, S.pairs, op)
+        if V.shape[0] == 0:
+            return JordanSearchResult(True, index=degree)
+    hit = _engine.scan_final_level(ctx, V, S.pairs, op, jobs=jobs)
     if hit is None:
-        return JordanSearchResult(True)
+        return JordanSearchResult(True, index=n)
     row, j = hit
     indices = tuple(int(x) for x in prefixes[row]) + (j,)
     witness = tuple(S.monomials[i] for i in indices)
     return JordanSearchResult(False, indices, witness)
+
+
+def vanishes_left_normed(S: SpanningSet, n: int, jobs: int = 1) -> JordanSearchResult:
+    """Decide whether every degree-n left-normed circle product over S is
+    zero; the reported counterexample is the first one in tuple order."""
+    return _walk(S, n, "circle", jobs)
 
 
 def minimal_jordan_index(S: SpanningSet, max_n: int = 6, jobs: int = 1) -> Optional[int]:
@@ -172,40 +165,14 @@ def minimal_jordan_index(S: SpanningSet, max_n: int = 6, jobs: int = 1) -> Optio
     or None when no such n exists within the bound.
 
     Vanishing is monotone in the degree (a longer product factors through
-    a shorter one), so the scan stops at the first vanishing level.
+    a shorter one), so one walk to max_n finds it.
     """
-    if max_n < 2:
-        raise ValueError(f"bound must be >= 2, got {max_n}")
-    rg = _as_group_ring(S.context)
-    ctx = _engine.table_context(rg)
-    if len(S.pairs) == 0:
-        return 2
-    V = ctx.mono_rows(S.pairs)
-    V, _ = _nonzero_unique(ctx, V, None)
-    for level in range(2, max_n + 1):
-        if V.shape[0] == 0:
-            return level
-        V, _ = _next_level(ctx, V, None, S.pairs, "circle")
-        if V.shape[0] == 0:
-            return level
-    return None
+    return vanishes_left_normed(S, max_n, jobs=jobs).index
 
 
-def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
+def lie_vanishes_left_normed(S: SpanningSet, n: int, jobs: int = 1) -> bool:
     """Same scan for the Lie bracket; boolean only."""
-    if n < 2:
-        raise ValueError(f"degree must be >= 2, got {n}")
-    rg = _as_group_ring(S.context)
-    ctx = _engine.table_context(rg)
-    if len(S.pairs) == 0:
-        return True
-    V = ctx.mono_rows(S.pairs)
-    V, _ = _nonzero_unique(ctx, V, None)
-    for _level in range(2, n + 1):
-        if V.shape[0] == 0:
-            return True
-        V, _ = _next_level(ctx, V, None, S.pairs, "bracket")
-    return V.shape[0] == 0
+    return _walk(S, n, "bracket", jobs).vanishes
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Scalar group-ring arithmetic, pinned against a dict-of-terms model,
 and the vectorized kernels pinned against the scalar layer."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import jrl._engine as eng
 from jrl._engine import (
@@ -266,6 +270,60 @@ def test_unique_rows_keep_first():
     assert list(keep) == [0, 1, 3]
     empty, keep0 = unique_rows_keep_first(np.empty((0, 2), dtype=np.int16))
     assert empty.shape == (0, 2) and keep0.size == 0
+
+
+def void_unique_reference(arr):
+    """First occurrences by sorting whole rows as void scalars."""
+    view = np.ascontiguousarray(arr).view([("", arr.dtype)] * arr.shape[1]).ravel()
+    return np.sort(np.unique(view, return_index=True)[1])
+
+
+def rows_with_duplicates(width, count, planted, value_range, row_seed):
+    rng = np.random.default_rng(row_seed)
+    lo, hi = value_range
+    arr = rng.integers(lo, hi, size=(count, width), dtype=np.int16)
+    for _ in range(planted):
+        src, dst = sorted(rng.integers(0, count, size=2))
+        arr[dst] = arr[src]
+    return arr
+
+
+@seed(20251224)
+@settings(max_examples=60, deadline=None, database=None)
+@given(width=st.sampled_from([1, 6, 8, 64]), count=st.integers(1, 300),
+       planted=st.integers(0, 200),
+       value_range=st.sampled_from([(0, 2), (0, 4), (-32768, 32767)]),
+       row_seed=st.integers(0, 2 ** 32 - 1))
+def test_unique_rows_keep_first_matches_void_reference(width, count, planted,
+                                                       value_range, row_seed):
+    arr = rows_with_duplicates(width, count, planted, value_range, row_seed)
+    want = void_unique_reference(arr)
+    uniq, keep = unique_rows_keep_first(arr)
+    assert np.array_equal(keep, want)
+    assert np.array_equal(uniq, arr[want])
+
+
+def test_unique_rows_keep_first_survives_total_key_collision(monkeypatch):
+    monkeypatch.setattr(eng, "_hash_weights",
+                        lambda count: np.zeros(count, dtype=np.uint64))
+    for width in (1, 6, 8, 64):
+        arr = rows_with_duplicates(width, 500, 300, (0, 3), width)
+        assert not eng._row_keys(arr).any()  # every row collides
+        uniq, keep = unique_rows_keep_first(arr)
+        want = void_unique_reference(arr)
+        assert np.array_equal(keep, want)
+        assert np.array_equal(uniq, arr[want])
+
+
+def test_table_context_dies_with_its_group_ring():
+    rg = make("M2F2", "C2")
+    ctx = weakref.ref(table_context(rg))
+    gc.disable()
+    try:
+        del rg
+        assert ctx() is None
+    finally:
+        gc.enable()
 
 
 def test_candidate_block_order_is_row_major():

@@ -10,6 +10,8 @@ from itertools import product
 
 import pytest
 
+from jrl import _engine, nilpotency
+from jrl.cli import main as cli_main
 from jrl.errors import TooLarge
 from jrl.groupring import GroupRing, left_normed_jordan, left_normed_lie
 from jrl.groups import builtin_group
@@ -124,11 +126,22 @@ def test_minimal_index_consistent_with_vanishing():
             assert not vanishes_left_normed(S, 6)
         else:
             assert vanishes_left_normed(S, idx)
+            assert vanishes_left_normed(S, 6).index == idx
+            assert vanishes_left_normed(S, idx).index == idx
             if idx > 2:
                 assert not vanishes_left_normed(S, idx - 1)
 
 
-def test_jobs_do_not_change_the_result():
+def test_jobs_do_not_change_the_result(monkeypatch):
+    monkeypatch.setattr(_engine, "_BLOCK_CELLS", 64)  # many final-level blocks
+    seen_jobs = []
+    scan = _engine.scan_final_level
+
+    def spy(*args, jobs=1, **kwargs):
+        seen_jobs.append(jobs)
+        return scan(*args, jobs=jobs, **kwargs)
+
+    monkeypatch.setattr(_engine, "scan_final_level", spy)
     S = spanning_set(make("Z2", "D4"))
     for n in (2, 3):
         one = vanishes_left_normed(S, n, jobs=1)
@@ -136,6 +149,34 @@ def test_jobs_do_not_change_the_result():
         assert one.vanishes == four.vanishes
         assert one.indices == four.indices
         assert one.witness == four.witness
+    for ring, group in [("Z2", "D4"), ("Z4", "D4"), ("Z8", "C2")]:
+        S = spanning_set(make(ring, group))
+        for n in (2, 3, 4):
+            assert (minimal_jordan_index(S, n, jobs=1)
+                    == minimal_jordan_index(S, n, jobs=4))
+            assert (lie_vanishes_left_normed(S, n, jobs=1)
+                    == lie_vanishes_left_normed(S, n, jobs=4))
+    assert 4 in seen_jobs and set(seen_jobs) == {1, 4}
+
+
+def test_m2f2_d4xd4_walk_pins(monkeypatch, capsys):
+    # levels 2 and 3 are materialised; degree 4 is the early-exit scan
+    frontiers = []
+    step = nilpotency._next_level
+
+    def spy(ctx, V, prefixes, pairs, op):
+        out = step(ctx, V, prefixes, pairs, op)
+        frontiers.append((V.shape[0], out[0].shape[0]))
+        return out
+
+    monkeypatch.setattr(nilpotency, "_next_level", spy)
+    assert cli_main(["oracle", "--ring", "builtin:M2F2", "--group", "builtin:D4xD4",
+                     "--max-index", "4"]) == 0
+    assert frontiers == [(256, 456), (456, 678)]
+    assert "degree-4 counterexample" in capsys.readouterr().out
+    res = vanishes_left_normed(spanning_set(make("M2F2", "D4xD4")), 4)
+    assert not res.vanishes and res.index is None
+    assert res.indices == (0, 64, 0, 0)
 
 
 # --- full-space oracle -------------------------------------------------------
