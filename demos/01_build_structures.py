@@ -6,7 +6,7 @@ Every structure is a pair of dense index tables; construction runs the
 full axiom battery, so a bad table never gets far.
 """
 
-from jrl import builtin_ring, builtin_group, validate_ring
+from jrl import FiniteRing, builtin_ring, builtin_group
 from jrl.errors import ValidationError
 from jrl.fileio import ring_file_text
 
@@ -28,13 +28,13 @@ for name in ("C8", "D4", "Q8", "S3", "D4xD4"):
 n = 6
 add = [[(a + b) % n for b in range(n)] for a in range(n)]
 mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-Z6 = validate_ring("Z6", add, mul, zero=0, one=1)
+Z6 = FiniteRing("Z6", add, mul, zero=0, one=1)
 print(f"\nhand-built {Z6.name} validated, characteristic {Z6.characteristic()}")
 
 # corrupt one product entry and watch validation object
 mul[3][3] = 4
 try:
-    validate_ring("Z6broken", add, mul, zero=0, one=1)
+    FiniteRing("Z6broken", add, mul, zero=0, one=1)
 except ValidationError as err:
     print(f"corrupted table rejected: {type(err).__name__}: {err}")
 

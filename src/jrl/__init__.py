@@ -6,24 +6,22 @@ from .errors import (AlgebraError, ContextMismatch, EmptySequence,
                      NotAssociative, NotDistributive, ParseError, TooLarge,
                      UnknownName, ValidationError)
 from .groups import (BUILTIN_GROUP_NAMES, FiniteGroup, Subgroup, builtin_group,
-                     center, commutator_span_condition, conjugate, cyclic_group,
+                     center, commutator_span_condition, cyclic_group,
                      derived_subgroup, dihedral_group_8, direct_product,
-                     group_commutator, is_central, iso_class, quaternion_group,
-                     squares_central, symmetric_group_3, validate_group)
-from .rings import (BUILTIN_RING_NAMES, FiniteRing, additive_generating_set,
-                    builtin_ring, characteristic, is_commutative,
+                     is_central, iso_class, quaternion_group, squares_central,
+                     symmetric_group_3)
+from .rings import (BUILTIN_RING_NAMES, FiniteRing, builtin_ring,
                     matrix_ring_2x2_gf2, scalar4_plus_strict_upper_3x3,
                     scalar_plus_strict_upper_3x3, upper_triangular_2x2,
-                    validate_ring, zmod_ring)
+                    zmod_ring)
 from .groupring import (GroupRing, GroupRingElement, circle,
                         check_monomial_circle_expansion,
-                        check_product_circle_expansion, embed, format_element,
+                        check_product_circle_expansion, format_element,
                         gr_add, gr_mul, gr_neg, jordan_power, left_normed_jordan,
                         left_normed_lie, lie_bracket)
 from .nilpotency import (EXHAUSTIVE_CAP, JordanSearchResult, RingConditions,
                          SpanningSet, exhaustive_check, lie_vanishes_left_normed,
-                         minimal_jordan_index, ring_conditions,
-                         ring_jordan_nilpotent, spanning_set,
+                         minimal_jordan_index, ring_conditions, spanning_set,
                          vanishes_left_normed)
 from .classify import CLAUSE_TEXT, ClassificationResult, classify, explain
 from .identities import IdentityCheck, run_identity_suite, suite_passed

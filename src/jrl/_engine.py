@@ -8,7 +8,6 @@ other on sampled inputs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -82,48 +81,31 @@ def product_with_monomial(ctx: TableContext, P: np.ndarray, r: int, g: int,
     return ctx.radd[right, ctx.rneg[left]]
 
 
-_CUBE_CELLS = 1 << 24
-
-
 def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # out[:, h] = sum over g of A[:, g] * B[:, g^-1 h]; the per-term ring
-    # products still go through the table, only the fold is native.  One g
-    # at a time keeps every temporary the size of the output.
-    flat = ctx.rmul.ravel()
-    out = np.zeros(A.shape, dtype=np.int16 if ctx.add_is_xor else np.int32)
-    for g in range(ctx.ng):
-        terms = flat[A[:, g, None].astype(np.intp) * ctx.nr + B[:, ctx.ginv_cols[g]]]
+    # out[:, h] = sum over g of A[:, g] * B[:, g^-1 h], started from the
+    # g = 0 term.  The per-term ring products go through the flattened
+    # table; the sum is native XOR, an int32 sum reduced mod the order, or
+    # a gather from the flattened addition table.  One g at a time keeps
+    # every temporary the size of the output.
+    mul, add = ctx.rmul.ravel(), ctx.radd.ravel()
+
+    def term(g: int) -> np.ndarray:
+        return mul[A[:, g, None].astype(np.intp) * ctx.nr + B[:, ctx.ginv_cols[g]]]
+
+    out = term(0).astype(np.int32) if ctx.add_is_mod else term(0)
+    for g in range(1, ctx.ng):
         if ctx.add_is_xor:
-            out ^= terms
+            out ^= term(g)
+        elif ctx.add_is_mod:
+            out += term(g)
         else:
-            out += terms
-    return out if ctx.add_is_xor else (out % ctx.nr).astype(np.int16)
+            out = add[out.astype(np.intp) * ctx.nr + term(g)]
+    return (out % ctx.nr).astype(np.int16) if ctx.add_is_mod else out
 
 
 def rows_mul(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-aligned convolution product: out[i] = A[i] * B[i]."""
-    n = A.shape[0]
-    if (ctx.add_is_xor or ctx.add_is_mod) and n > 0:
-        step = max(1, _CUBE_CELLS // (ctx.ng * ctx.ng))
-        if n <= step:
-            return _rows_mul_fold(ctx, A, B)
-        out = np.empty_like(A)
-        for lo in range(0, n, step):
-            out[lo:lo + step] = _rows_mul_fold(ctx, A[lo:lo + step], B[lo:lo + step])
-        return out
-    out = np.full_like(A, ctx.rzero)
-    for g in range(ctx.ng):
-        col = A[:, g]
-        live = np.flatnonzero(col != ctx.rzero)
-        if live.size == 0:
-            continue
-        cols = ctx.gmul[g]
-        if live.size * 4 <= n * 3:
-            ix = np.ix_(live, cols)
-            out[ix] = ctx.radd[out[ix], ctx.rmul[col[live][:, None], B[live]]]
-        else:
-            out[:, cols] = ctx.radd[out[:, cols], ctx.rmul[col[:, None], B]]
-    return out
+    return _rows_mul_fold(ctx, A, B)
 
 
 def rows_add(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -144,20 +126,13 @@ def rows_bracket(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
                      op: str) -> np.ndarray:
-    """circle/bracket of every row of P with one fixed element row."""
-    pb = np.full_like(P, ctx.rzero)
-    bp = np.full_like(P, ctx.rzero)
-    for h in range(ctx.ng):
-        if brow[h] != ctx.rzero:
-            cols = ctx.gmul[:, h]
-            pb[:, cols] = ctx.radd[pb[:, cols], ctx.rmul[P, brow[h]]]
-    for g in range(ctx.ng):
-        if brow[g] != ctx.rzero:
-            cols = ctx.gmul[g, :]
-            bp[:, cols] = ctx.radd[bp[:, cols], ctx.rmul[brow[g], P]]
-    if op == "circle":
-        return ctx.radd[pb, bp]
-    return ctx.radd[pb, ctx.rneg[bp]]
+    """circle/bracket of every row of P with one fixed element row, or with
+    each row of a (k, |G|) block: then out[i, j] = P[i] op block[j]."""
+    block = np.atleast_2d(brow)
+    m, k = P.shape[0], block.shape[0]
+    prod = (rows_circle if op == "circle" else rows_bracket)(
+        ctx, np.repeat(P, k, axis=0), np.tile(block, (m, 1)))
+    return prod.reshape(m, k, ctx.ng) if brow.ndim == 2 else prod
 
 
 _PAIR_BLOCK = 4096  # adjacent equal-key pairs compared per block
@@ -229,34 +204,20 @@ def candidate_block(ctx: TableContext, V: np.ndarray,
 
 
 def scan_final_level(ctx: TableContext, V: np.ndarray, monos: Sequence[Tuple[int, int]],
-                     op: str, jobs: int = 1) -> Tuple[int, int] | None:
+                     op: str) -> Tuple[int, int] | None:
     """Find the first (row index into V, monomial index) whose product is
     nonzero, treating candidates in (row, monomial) order; None if all vanish.
 
-    Rows are split into blocks; with jobs > 1 the blocks run on a thread
-    pool but are still combined in order, so the answer never depends on
-    the worker count.
+    Rows are scanned in blocks, and the first block with a hit ends the scan.
     """
     m, s = V.shape[0], len(monos)
-    if m == 0:
-        return None
     block = max(1, _BLOCK_CELLS // max(1, s * ctx.ng))
-    spans = [(lo, min(lo + block, m)) for lo in range(0, m, block)]
-
-    def scan(span: Tuple[int, int]) -> Tuple[int, int] | None:
-        lo, hi = span
+    for lo in range(0, m, block):
         hits = []
         for j, (r, g) in enumerate(monos):
-            nz = ~ctx.zero_row_mask(product_with_monomial(ctx, V[lo:hi], r, g, op))
+            nz = ~ctx.zero_row_mask(product_with_monomial(ctx, V[lo:lo + block], r, g, op))
             if nz.any():
                 hits.append((lo + int(np.argmax(nz)), j))
-        return min(hits, default=None)
-
-    if jobs <= 1 or len(spans) == 1:
-        return next((hit for hit in map(scan, spans) if hit is not None), None)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        hits = pool.map(scan, spans)  # yields in row order
-        try:
-            return next((hit for hit in hits if hit is not None), None)
-        finally:
-            pool.shutdown(cancel_futures=True)
+        if hits:
+            return min(hits)
+    return None

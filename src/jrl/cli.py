@@ -4,7 +4,6 @@ identities, crosscheck."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -19,14 +18,6 @@ from .harness import (CatalogEntry, catalog_from_dir, crosscheck,
 from .identities import DEFAULT_SAMPLES, run_identity_suite, suite_passed
 from .nilpotency import spanning_set, vanishes_left_normed
 from .rings import BUILTIN_RING_NAMES, builtin_ring
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("JRL_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _cmd_validate(args) -> int:
@@ -67,7 +58,7 @@ def _cmd_oracle(args) -> int:
     rg = GroupRing(ring, group)
     span = spanning_set(rg)
     print(f"context {rg.name}: spanning set of {len(span)} monomials")
-    result = vanishes_left_normed(span, args.max_index, jobs=args.jobs)
+    result = vanishes_left_normed(span, args.max_index)
     if result.index is not None:
         print(f"minimal Jordan index: {result.index}")
         return 0
@@ -103,8 +94,7 @@ def _cmd_crosscheck(args) -> int:
         print(f"error: {entry.ring_name} x {entry.group_name}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
 
-    records = crosscheck(entries, max_n=args.max_index, jobs=args.jobs,
-                         on_error=complain)
+    records = crosscheck(entries, max_n=args.max_index, on_error=complain)
     for line in report_lines(records):
         print(line)
     if args.report:
@@ -138,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="search for the minimal Jordan index")
     instance_args(p)
     p.add_argument("--max-index", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("identities", help="run the identity suite on one instance")
@@ -151,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="directory of .ring/.group files")
     p.add_argument("--max-index", type=int, default=4)
     p.add_argument("--report", help="write the TSV report here as well")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_crosscheck)
 
     return parser

@@ -46,8 +46,8 @@ class ContextMismatch(AlgebraError):
     """Mixed elements from two different group-ring contexts."""
 
 
-class InvalidExponent(AlgebraError):
-    """Jordan power with exponent below 1."""
+class InvalidExponent(AlgebraError, ValueError):
+    """A Jordan power with exponent below 1, or a search degree below 2."""
 
 
 class EmptySequence(AlgebraError):

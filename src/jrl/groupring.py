@@ -126,10 +126,6 @@ def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(ctx, tuple(out))
 
 
-def embed(ctx: GroupRing, r: int, g: int) -> GroupRingElement:
-    return ctx.embed(r, g)
-
-
 def circle(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Jordan product ab + ba."""
     return gr_add(gr_mul(a, b), gr_mul(b, a))

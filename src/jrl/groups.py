@@ -113,11 +113,6 @@ class FiniteGroup:
         return range(self.order)
 
 
-def validate_group(name: str, mul_table: Sequence[Sequence[int]], identity: int) -> FiniteGroup:
-    """Build a FiniteGroup, running every axiom check."""
-    return FiniteGroup(name, mul_table, identity)
-
-
 # ---------------------------------------------------------------------------
 # subgroups and structure queries
 # ---------------------------------------------------------------------------
@@ -154,14 +149,6 @@ def _closure(G: FiniteGroup, seed: set) -> tuple:
             out.add(gi)
             frontier.append(gi)
     return tuple(sorted(out))
-
-
-def group_commutator(G: FiniteGroup, x: int, y: int) -> int:
-    return G.commutator(x, y)
-
-
-def conjugate(G: FiniteGroup, x: int, y: int) -> int:
-    return G.conj(x, y)
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:

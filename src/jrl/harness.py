@@ -66,7 +66,7 @@ def _agrees(predicted: ClassificationResult, oracle: Optional[int]) -> bool:
     return oracle is None or oracle > 4
 
 
-def crosscheck(entries: Sequence[CatalogEntry], max_n: int = 4, jobs: int = 1,
+def crosscheck(entries: Sequence[CatalogEntry], max_n: int = 4,
                on_error: Optional[Callable[[CatalogEntry, Exception], None]] = None,
                ) -> List[CrossCheckRecord]:
     """Run classify and the search oracle on every entry and compare.
@@ -93,7 +93,7 @@ def crosscheck(entries: Sequence[CatalogEntry], max_n: int = 4, jobs: int = 1,
             elapsed = (time.perf_counter() - start) * 1000.0
             records.append(CrossCheckRecord(entry, predicted, None, "Skipped", elapsed))
             continue
-        oracle = minimal_jordan_index(span, max_n=max_n, jobs=jobs)
+        oracle = minimal_jordan_index(span, max_n=max_n)
         elapsed = (time.perf_counter() - start) * 1000.0
         status = "Agree" if _agrees(predicted, oracle) else "Disagree"
         records.append(CrossCheckRecord(entry, predicted, oracle, status, elapsed))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import _engine
-from .errors import TooLarge
+from .errors import InvalidExponent, TooLarge
 from .groupring import GroupRing, GroupRingElement
 from .groups import builtin_group
 from .rings import FiniteRing
@@ -31,11 +31,19 @@ def _as_group_ring(context: Context) -> GroupRing:
     group, which leaves its arithmetic untouched."""
     if isinstance(context, GroupRing):
         return context
-    wrapped = getattr(context, "_trivial_context", None)
-    if wrapped is None:
-        wrapped = GroupRing(context, builtin_group("C1"))
-        context._trivial_context = wrapped
-    return wrapped
+    return GroupRing(context, builtin_group("C1"))
+
+
+def _table_context(context: Context) -> _engine.TableContext:
+    """The numpy tables of a context.  A bare ring caches its own: they hold
+    no reference back to the ring, so the cache makes no reference cycle,
+    which caching the wrapping GroupRing would."""
+    if isinstance(context, GroupRing):
+        return _engine.table_context(context)
+    cached = getattr(context, "_trivial_tables", None)
+    if cached is None:
+        cached = context._trivial_tables = _engine.table_context(_as_group_ring(context))
+    return cached
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,11 @@ def spanning_set(context: Context) -> SpanningSet:
     if gens and covered != set(rg.group.elements()):
         raise AssertionError("spanning monomials missed a group element")
     return SpanningSet(context, monos, pairs)
+
+
+def _check_degree(n: int) -> None:
+    if n < 2:
+        raise InvalidExponent(f"degree must be >= 2, got {n}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +133,7 @@ def _next_level(ctx: _engine.TableContext, V: np.ndarray, prefixes: np.ndarray,
                            np.concatenate([p for _, p in parts]))
 
 
-def _walk(S: SpanningSet, n: int, op: str, jobs: int) -> JordanSearchResult:
+def _walk(S: SpanningSet, n: int, op: str) -> JordanSearchResult:
     """The one level walk behind the circle and bracket searches.
 
     Partial products are built level by level up to degree n-1: only
@@ -131,11 +144,10 @@ def _walk(S: SpanningSet, n: int, op: str, jobs: int) -> JordanSearchResult:
     by the early-exit final scan, whose first hit is the first violating
     tuple in tuple order.
     """
-    if n < 2:
-        raise ValueError(f"degree must be >= 2, got {n}")
+    _check_degree(n)
     if len(S.pairs) == 0:
         return JordanSearchResult(True, index=2)
-    ctx = _engine.table_context(_as_group_ring(S.context))
+    ctx = _table_context(S.context)
     V = ctx.mono_rows(S.pairs)
     prefixes = np.arange(len(S.pairs), dtype=np.int64)[:, None]
     V, prefixes = _nonzero_unique(ctx, V, prefixes)
@@ -145,7 +157,7 @@ def _walk(S: SpanningSet, n: int, op: str, jobs: int) -> JordanSearchResult:
         V, prefixes = _next_level(ctx, V, prefixes, S.pairs, op)
         if V.shape[0] == 0:
             return JordanSearchResult(True, index=degree)
-    hit = _engine.scan_final_level(ctx, V, S.pairs, op, jobs=jobs)
+    hit = _engine.scan_final_level(ctx, V, S.pairs, op)
     if hit is None:
         return JordanSearchResult(True, index=n)
     row, j = hit
@@ -154,35 +166,42 @@ def _walk(S: SpanningSet, n: int, op: str, jobs: int) -> JordanSearchResult:
     return JordanSearchResult(False, indices, witness)
 
 
-def vanishes_left_normed(S: SpanningSet, n: int, jobs: int = 1) -> JordanSearchResult:
+def vanishes_left_normed(S: SpanningSet, n: int) -> JordanSearchResult:
     """Decide whether every degree-n left-normed circle product over S is
     zero; the reported counterexample is the first one in tuple order."""
-    return _walk(S, n, "circle", jobs)
+    return _walk(S, n, "circle")
 
 
-def minimal_jordan_index(S: SpanningSet, max_n: int = 6, jobs: int = 1) -> Optional[int]:
+def minimal_jordan_index(S: SpanningSet, max_n: int = 6) -> Optional[int]:
     """Least n in [2, max_n] at which every degree-n product vanishes,
     or None when no such n exists within the bound.
 
     Vanishing is monotone in the degree (a longer product factors through
     a shorter one), so one walk to max_n finds it.
     """
-    return vanishes_left_normed(S, max_n, jobs=jobs).index
+    return vanishes_left_normed(S, max_n).index
 
 
-def lie_vanishes_left_normed(S: SpanningSet, n: int, jobs: int = 1) -> bool:
+def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
     """Same scan for the Lie bracket; boolean only."""
-    return _walk(S, n, "bracket", jobs).vanishes
+    return _walk(S, n, "bracket").vanishes
 
 
 # ---------------------------------------------------------------------------
 # full-space oracle
 # ---------------------------------------------------------------------------
 
+# Cells (products times |G|) computed at once for the circle table.  At
+# 2^14 the fold's 8-byte index temporaries stay within 128 KB, so the
+# allocator can reuse them instead of mapping fresh pages for each.
+_TABLE_BATCH_CELLS = 1 << 14
+
+
 def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
     """Pairwise circle products over every element of the context, as a
     (size, size) table of element ids.  Cached on the context; built by
-    plain convolution, no spanning shortcut."""
+    plain convolution of every pair of elements, a batch of columns at a
+    time, with no spanning shortcut."""
     cached = getattr(rg, "_full_circle", None)
     if cached is not None:
         return cached
@@ -192,9 +211,10 @@ def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
     digits = (np.arange(size, dtype=np.int64)[:, None] // powers) % ctx.nr
     rows = digits.astype(np.int16)
     table = np.empty((size, size), dtype=np.int16)
-    for b in range(size):
-        prod = _engine.product_with_row(ctx, rows, rows[b], "circle")
-        table[:, b] = prod.astype(np.int64) @ powers
+    step = max(1, _TABLE_BATCH_CELLS // (size * ctx.ng))
+    for lo in range(0, size, step):
+        prod = _engine.product_with_row(ctx, rows, rows[lo:lo + step], "circle")
+        table[:, lo:lo + step] = prod.astype(np.int64) @ powers
     zero_id = int(np.full(ctx.ng, ctx.rzero, dtype=np.int64) @ powers)
     rg._full_circle = (table, zero_id)
     return table, zero_id
@@ -208,8 +228,7 @@ def exhaustive_check(context: Context, n: int) -> bool:
     the verdict equals the literal nested loop.  Contexts above
     EXHAUSTIVE_CAP elements are refused.
     """
-    if n < 2:
-        raise ValueError(f"degree must be >= 2, got {n}")
+    _check_degree(n)
     rg = _as_group_ring(context)
     if rg.size > EXHAUSTIVE_CAP:
         raise TooLarge(
@@ -263,8 +282,3 @@ def ring_conditions(R: FiniteRing, bound: int = 6) -> RingConditions:
                  for a in gens for b in gens for c in gens for d in gens)
     upper = minimal_jordan_index(spanning_set(R), max_n=bound)
     return RingConditions(two, cc, sq, upper)
-
-
-def ring_jordan_nilpotent(R: FiniteRing, n: int) -> bool:
-    """Does every degree-n left-normed circle product over R vanish?"""
-    return bool(vanishes_left_normed(spanning_set(R), n))

@@ -183,29 +183,6 @@ class FiniteRing:
         return range(self.order)
 
 
-def validate_ring(
-    name: str,
-    add_table: Sequence[Sequence[int]],
-    mul_table: Sequence[Sequence[int]],
-    zero: int,
-    one: int,
-) -> FiniteRing:
-    """Build a FiniteRing, running every axiom check."""
-    return FiniteRing(name, add_table, mul_table, zero, one)
-
-
-def characteristic(R: FiniteRing) -> int:
-    return R.characteristic()
-
-
-def is_commutative(R: FiniteRing) -> bool:
-    return R.is_commutative()
-
-
-def additive_generating_set(R: FiniteRing) -> Tuple[int, ...]:
-    return R.additive_generating_set()
-
-
 # ---------------------------------------------------------------------------
 # built-in rings
 # ---------------------------------------------------------------------------

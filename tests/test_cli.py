@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from jrl.cli import _default_jobs, main
+from jrl.cli import main
 from jrl.fileio import write_group_file, write_ring_file
 from jrl.groups import builtin_group
 from jrl.rings import builtin_ring
@@ -142,15 +142,16 @@ def test_crosscheck_reports_bad_entry_and_continues(tmp_path, capsys):
     assert cols[5] == "Agree"
 
 
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("JRL_JOBS", "4")
-    assert _default_jobs() == 4
-    monkeypatch.setenv("JRL_JOBS", "0")
-    assert _default_jobs() == 1
-    monkeypatch.setenv("JRL_JOBS", "many")
-    assert _default_jobs() == 1
-    monkeypatch.delenv("JRL_JOBS")
-    assert _default_jobs() == 1
+@pytest.mark.parametrize("command", [
+    ["oracle", "--ring", "builtin:Z4", "--group", "builtin:C2"],
+    ["crosscheck"],
+])
+def test_degree_below_two_is_a_typed_error(command):
+    proc = subprocess.run([sys.executable, "-m", "jrl.cli", *command, "--max-index", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: InvalidExponent:")
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_console_entry_point_runs():

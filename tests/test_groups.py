@@ -8,7 +8,7 @@ from jrl.groups import (BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group, center,
                         commutator_span_condition, cyclic_group,
                         derived_subgroup, dihedral_group_8, direct_product,
                         is_central, iso_class, quaternion_group,
-                        squares_central, symmetric_group_3, validate_group)
+                        squares_central, symmetric_group_3)
 
 ALL_GROUPS = [builtin_group(n) for n in BUILTIN_GROUP_NAMES]
 
@@ -176,13 +176,13 @@ def test_builtin_group_is_cached():
 def test_validate_group_rejects_bad_tables():
     # last row repeats an element: no inverse for 1
     with pytest.raises(NoInverse):
-        validate_group("g", [[0, 1], [1, 1]], 0)
+        FiniteGroup("g", [[0, 1], [1, 1]], 0)
     with pytest.raises(ValidationError):
-        validate_group("g", [[0, 1], [1, 0]], 1)  # 1 is not an identity
+        FiniteGroup("g", [[0, 1], [1, 0]], 1)  # 1 is not an identity
     # a non-associative magma on 3 points
     table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     with pytest.raises(NotAssociative):
-        validate_group("g", table, 0)
+        FiniteGroup("g", table, 0)
 
 
 def test_group_tables_are_frozen():

@@ -13,7 +13,7 @@ import pytest
 from jrl import _engine, nilpotency
 from jrl.cli import main as cli_main
 from jrl.errors import TooLarge
-from jrl.groupring import GroupRing, left_normed_jordan, left_normed_lie
+from jrl.groupring import GroupRing, circle, left_normed_jordan, left_normed_lie
 from jrl.groups import builtin_group
 from jrl.nilpotency import (
     EXHAUSTIVE_CAP,
@@ -22,7 +22,6 @@ from jrl.nilpotency import (
     lie_vanishes_left_normed,
     minimal_jordan_index,
     ring_conditions,
-    ring_jordan_nilpotent,
     spanning_set,
     vanishes_left_normed,
 )
@@ -132,33 +131,6 @@ def test_minimal_index_consistent_with_vanishing():
                 assert not vanishes_left_normed(S, idx - 1)
 
 
-def test_jobs_do_not_change_the_result(monkeypatch):
-    monkeypatch.setattr(_engine, "_BLOCK_CELLS", 64)  # many final-level blocks
-    seen_jobs = []
-    scan = _engine.scan_final_level
-
-    def spy(*args, jobs=1, **kwargs):
-        seen_jobs.append(jobs)
-        return scan(*args, jobs=jobs, **kwargs)
-
-    monkeypatch.setattr(_engine, "scan_final_level", spy)
-    S = spanning_set(make("Z2", "D4"))
-    for n in (2, 3):
-        one = vanishes_left_normed(S, n, jobs=1)
-        four = vanishes_left_normed(S, n, jobs=4)
-        assert one.vanishes == four.vanishes
-        assert one.indices == four.indices
-        assert one.witness == four.witness
-    for ring, group in [("Z2", "D4"), ("Z4", "D4"), ("Z8", "C2")]:
-        S = spanning_set(make(ring, group))
-        for n in (2, 3, 4):
-            assert (minimal_jordan_index(S, n, jobs=1)
-                    == minimal_jordan_index(S, n, jobs=4))
-            assert (lie_vanishes_left_normed(S, n, jobs=1)
-                    == lie_vanishes_left_normed(S, n, jobs=4))
-    assert 4 in seen_jobs and set(seen_jobs) == {1, 4}
-
-
 def test_m2f2_d4xd4_walk_pins(monkeypatch, capsys):
     # levels 2 and 3 are materialised; degree 4 is the early-exit scan
     frontiers = []
@@ -199,11 +171,38 @@ def test_exhaustive_check_matches_literal_loops():
 
 def test_exhaustive_check_agrees_with_spanning_decision():
     for ring, group in [("Z4", "C4"), ("M2F2", "C2"), ("Z2", "D4"),
-                        ("T2F2", "C2"), ("Z8", "C2"), ("H16", "C2")]:
+                        ("T2F2", "C2"), ("Z8", "C2"), ("H16", "C2"),
+                        ("T2Z4", "C1"), ("H32", "C1")]:
         rg = make(ring, group)
         S = spanning_set(rg)
         for n in (2, 3, 4):
             assert exhaustive_check(rg, n) == bool(vanishes_left_normed(S, n))
+
+
+@pytest.mark.parametrize("ring,group,kind", [
+    ("Z2", "C2", "xor"), ("Z4", "C2", "mod"),
+    ("T2Z4", "C1", "table"), ("H32", "C1", "table"),
+])
+def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind):
+    rg = make(ring, group)
+    ctx = _engine.table_context(rg)
+    assert kind == ("xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table")
+    # three columns per batch, so most columns sit next to a batch edge
+    monkeypatch.setattr(nilpotency, "_TABLE_BATCH_CELLS", 3 * rg.size * ctx.ng)
+    table, zero_id = nilpotency._full_circle_table(rg)
+    nr, ng = ctx.nr, ctx.ng
+
+    def element(i):
+        return rg.element([(i // nr ** g) % nr for g in range(ng)])
+
+    def element_id(e):
+        return sum(c * nr ** g for g, c in enumerate(e.coeffs))
+
+    els = [element(i) for i in range(rg.size)]
+    assert zero_id == element_id(rg.zero())
+    for a in range(rg.size):
+        for b in range(rg.size):
+            assert table[a, b] == element_id(circle(els[a], els[b]))
 
 
 def test_exhaustive_check_accepts_bare_rings():
@@ -313,8 +312,9 @@ def test_ring_conditions_on_large_test_ring():
 
 
 def test_ring_jordan_nilpotent_wrapper():
-    assert ring_jordan_nilpotent(builtin_ring("Z4"), 3)
-    assert not ring_jordan_nilpotent(builtin_ring("Z4"), 2)
+    # a bare ring goes straight into the search
+    assert vanishes_left_normed(spanning_set(builtin_ring("Z4")), 3)
+    assert not vanishes_left_normed(spanning_set(builtin_ring("Z4")), 2)
 
 
 # --- argument validation -----------------------------------------------------

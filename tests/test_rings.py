@@ -20,11 +20,7 @@ from jrl.errors import (
 from jrl.rings import (
     BUILTIN_RING_NAMES,
     FiniteRing,
-    additive_generating_set,
     builtin_ring,
-    characteristic,
-    is_commutative,
-    validate_ring,
     zmod_ring,
 )
 
@@ -151,9 +147,9 @@ FROZEN = {
 def test_frozen_ring_facts(R):
     order, char, comm, gens = FROZEN[R.name]
     assert R.order == order
-    assert characteristic(R) == char
-    assert is_commutative(R) == comm
-    assert additive_generating_set(R) == gens
+    assert R.characteristic() == char
+    assert R.is_commutative() == comm
+    assert R.additive_generating_set() == gens
 
 
 @pytest.mark.parametrize("R", ALL_RINGS, ids=ring_ids(ALL_RINGS))
@@ -216,8 +212,8 @@ def test_tables_are_write_protected():
 
 
 def test_validate_ring_accepts_z3():
-    R = validate_ring("Z3", [[(a + b) % 3 for b in range(3)] for a in range(3)],
-                      [[(a * b) % 3 for b in range(3)] for a in range(3)], 0, 1)
+    R = FiniteRing("Z3", [[(a + b) % 3 for b in range(3)] for a in range(3)],
+                   [[(a * b) % 3 for b in range(3)] for a in range(3)], 0, 1)
     assert isinstance(R, FiniteRing)
     assert R.characteristic() == 3
 
