@@ -14,7 +14,5 @@ for line in report_lines(records):
     print(line)
 
 agree = sum(1 for r in records if r.status == "Agree")
-skipped = sum(1 for r in records if r.status == "Skipped")
 print(f"\n{len(records)} pairs in {elapsed:.2f}s: "
-      f"{agree} agree, {skipped} skipped (degree-4 budget), "
-      f"disagreements: {has_disagreement(records)}")
+      f"{agree} agree, disagreements: {has_disagreement(records)}")

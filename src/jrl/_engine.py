@@ -109,19 +109,34 @@ def rows_mul(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def rows_add(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Entrywise ring sum, by native XOR or mod-order addition when the
+    addition table is one of those, else by the table itself."""
+    if ctx.add_is_xor:
+        return A ^ B
+    if ctx.add_is_mod:
+        # unsigned, so the sum of two ids below 2^15 cannot wrap
+        total = np.add(A, B, dtype=np.uint16, casting="unsafe")
+        total %= ctx.nr
+        return total.view(np.int16)
     return ctx.radd[A, B]
 
 
 def rows_neg(ctx: TableContext, A: np.ndarray) -> np.ndarray:
+    """Entrywise additive inverse; under XOR every element is its own
+    inverse, so the rows come back as they are."""
+    if ctx.add_is_xor:
+        return A
+    if ctx.add_is_mod:
+        return -A % ctx.nr
     return ctx.rneg[A]
 
 
 def rows_circle(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return ctx.radd[rows_mul(ctx, A, B), rows_mul(ctx, B, A)]
+    return rows_add(ctx, rows_mul(ctx, A, B), rows_mul(ctx, B, A))
 
 
 def rows_bracket(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return ctx.radd[rows_mul(ctx, A, B), ctx.rneg[rows_mul(ctx, B, A)]]
+    return rows_add(ctx, rows_mul(ctx, A, B), rows_neg(ctx, rows_mul(ctx, B, A)))
 
 
 def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,

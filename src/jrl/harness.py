@@ -16,7 +16,6 @@ from .groupring import GroupRing
 from .rings import BUILTIN_RING_NAMES, FiniteRing, builtin_ring
 
 BUILTIN_PREFIX = "builtin:"
-DEGREE4_TUPLE_BUDGET = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class CrossCheckRecord:
     entry: CatalogEntry
     predicted: ClassificationResult
     oracle: Optional[int]          # minimal index, None when past the bound
-    status: str                    # Agree | Disagree | Skipped
+    status: str                    # Agree | Disagree
     elapsed_ms: float
 
 
@@ -72,9 +71,7 @@ def crosscheck(entries: Sequence[CatalogEntry], max_n: int = 4,
     """Run classify and the search oracle on every entry and compare.
 
     Records come back in input order.  An entry that fails to resolve is
-    dropped after reporting through on_error; a pair whose degree-4 tuple
-    space would exceed the budget keeps its prediction but skips the
-    search, with status Skipped.
+    dropped after reporting through on_error; every other pair is searched.
     """
     records: List[CrossCheckRecord] = []
     for entry in entries:
@@ -88,12 +85,7 @@ def crosscheck(entries: Sequence[CatalogEntry], max_n: int = 4,
             continue
         start = time.perf_counter()
         predicted = classify(ring, group)
-        span = spanning_set(GroupRing(ring, group))
-        if len(span) ** 4 > DEGREE4_TUPLE_BUDGET:
-            elapsed = (time.perf_counter() - start) * 1000.0
-            records.append(CrossCheckRecord(entry, predicted, None, "Skipped", elapsed))
-            continue
-        oracle = minimal_jordan_index(span, max_n=max_n)
+        oracle = minimal_jordan_index(spanning_set(GroupRing(ring, group)), max_n=max_n)
         elapsed = (time.perf_counter() - start) * 1000.0
         status = "Agree" if _agrees(predicted, oracle) else "Disagree"
         records.append(CrossCheckRecord(entry, predicted, oracle, status, elapsed))
@@ -115,10 +107,7 @@ def report_lines(records: Sequence[CrossCheckRecord]) -> List[str]:
         predicted = ("none<=4" if rec.predicted.index is None
                      else str(rec.predicted.index))
         clause = rec.predicted.clause or "-"
-        if rec.status == "Skipped":
-            oracle = "-"
-        else:
-            oracle = str(rec.oracle) if rec.oracle is not None else "none<=bound"
+        oracle = str(rec.oracle) if rec.oracle is not None else "none<=bound"
         lines.append("\t".join([
             _strip_builtin(rec.entry.ring_name),
             _strip_builtin(rec.entry.group_name),

@@ -11,7 +11,7 @@ independent witness the reduction is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -191,17 +191,27 @@ def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
 # full-space oracle
 # ---------------------------------------------------------------------------
 
-# Cells (products times |G|) computed at once for the circle table.  At
-# 2^14 the fold's 8-byte index temporaries stay within 128 KB, so the
-# allocator can reuse them instead of mapping fresh pages for each.
+# Cells (products times |G|) computed at once for the circle table.  A
+# batch multiplies at most `size` rows by its columns, so at 2^14 the
+# fold's 8-byte index temporaries stay within 128 KB and the allocator
+# can reuse them instead of mapping fresh pages for each.
 _TABLE_BATCH_CELLS = 1 << 14
+
+# Table rows marked per step of the exhaustive level walk.
+_LEVEL_BLOCK_ROWS = 16
 
 
 def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
     """Pairwise circle products over every element of the context, as a
     (size, size) table of element ids.  Cached on the context; built by
-    plain convolution of every pair of elements, a batch of columns at a
-    time, with no spanning shortcut."""
+    plain convolution of pairs of actual elements, a batch of columns at a
+    time, with no spanning shortcut.
+
+    Each unordered pair is convolved once: a batch of columns [lo, hi)
+    computes rows [0, hi), and the block below it is the transpose of the
+    one above.  That mirror is exact because a o b = ab + ba and
+    b o a = ba + ab are equal whenever addition commutes, which FiniteRing
+    checks of every addition table it accepts."""
     cached = getattr(rg, "_full_circle", None)
     if cached is not None:
         return cached
@@ -213,11 +223,36 @@ def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
     table = np.empty((size, size), dtype=np.int16)
     step = max(1, _TABLE_BATCH_CELLS // (size * ctx.ng))
     for lo in range(0, size, step):
-        prod = _engine.product_with_row(ctx, rows, rows[lo:lo + step], "circle")
-        table[:, lo:lo + step] = prod.astype(np.int64) @ powers
+        hi = min(lo + step, size)
+        prod = _engine.product_with_row(ctx, rows[:hi], rows[lo:hi], "circle")
+        table[:hi, lo:hi] = prod.astype(np.int64) @ powers
+        table[lo:hi, :lo] = table[:lo, lo:hi].T
     zero_id = int(np.full(ctx.ng, ctx.rzero, dtype=np.int64) @ powers)
     rg._full_circle = (table, zero_id)
     return table, zero_id
+
+
+def _exhaustive_levels(rg: GroupRing, n: int) -> Iterator[np.ndarray]:
+    """The nonzero degree-k values of left-normed circle products over all
+    elements, as increasing element ids, for k = 2..n; stops after the
+    first empty set.
+
+    Each level marks every circle-table entry of the previous level's
+    values in a membership mask of length size, a block of table rows at a
+    time, clears zero and reads the marked ids back.
+    """
+    table, zero_id = _full_circle_table(rg)
+    values = np.flatnonzero(np.arange(rg.size) != zero_id)
+    seen = np.zeros(rg.size, dtype=bool)
+    for _level in range(2, n + 1):
+        seen[:] = False
+        for lo in range(0, values.size, _LEVEL_BLOCK_ROWS):
+            seen[table[values[lo:lo + _LEVEL_BLOCK_ROWS]]] = True
+        seen[zero_id] = False
+        values = np.flatnonzero(seen)
+        yield values
+        if values.size == 0:
+            return
 
 
 def exhaustive_check(context: Context, n: int) -> bool:
@@ -225,23 +260,17 @@ def exhaustive_check(context: Context, n: int) -> bool:
 
     Walks the set of degree-k partial values instead of materialising the
     tuple list; that set is exact (no linearity is assumed anywhere), so
-    the verdict equals the literal nested loop.  Contexts above
-    EXHAUSTIVE_CAP elements are refused.
+    the verdict equals the literal nested loop.  Each level's set is a
+    membership mask over every element id (see _exhaustive_levels).
+    Contexts above EXHAUSTIVE_CAP elements are refused.
     """
     _check_degree(n)
     rg = _as_group_ring(context)
     if rg.size > EXHAUSTIVE_CAP:
         raise TooLarge(
             f"{rg.name} has {rg.size} elements, cap is {EXHAUSTIVE_CAP}")
-    table, zero_id = _full_circle_table(rg)
-    values = np.arange(rg.size, dtype=np.int64)
-    values = values[values != zero_id]
-    for _level in range(2, n + 1):
-        if values.size == 0:
-            return True
-        values = np.unique(table[values, :])
-        values = values[values != zero_id]
-    return values.size == 0
+    *_, last = _exhaustive_levels(rg, n)
+    return last.size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -159,11 +159,10 @@ def test_criterion_4_catalog_crosscheck(capsys, catalog_records):
         "H32 stopped satisfying its circle conditions"
 
     agree = sum(1 for r in records if r.status == "Agree")
-    skipped = sum(1 for r in records if r.status == "Skipped")
-    ok = agree + skipped == 81 and not disagreements
+    ok = agree == 81 and not disagreements
     verdict(capsys, ok, "criterion 4",
-            f"9x9 catalog: {agree} Agree, {skipped} Skipped (search budget), "
-            f"0 Disagree; anchors and both circle-condition clauses verified")
+            f"9x9 catalog: {agree} Agree, 0 Disagree; "
+            f"anchors and both circle-condition clauses verified")
     assert ok
 
 

@@ -14,9 +14,11 @@ from jrl._engine import (
     candidate_block,
     product_with_monomial,
     product_with_row,
+    rows_add,
     rows_bracket,
     rows_circle,
     rows_mul,
+    rows_neg,
     scan_final_level,
     table_context,
     unique_rows_keep_first,
@@ -223,7 +225,11 @@ def test_fast_and_generic_folds_agree(ring, group):
     forced.add_is_mod = False
     A, _ = rows_and_elements(rg, 80, seed=31)
     B, _ = rows_and_elements(rg, 80, seed=32)
-    assert np.array_equal(rows_mul(base, A, B), rows_mul(forced, A, B))
+    for kernel in (rows_mul, rows_add, rows_circle, rows_bracket):
+        got, want = kernel(base, A, B), kernel(forced, A, B)
+        assert got.dtype == want.dtype and np.array_equal(got, want), kernel.__name__
+    got, want = rows_neg(base, A), rows_neg(forced, A)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("ring,group", ENGINE_CONTEXTS)

@@ -63,10 +63,10 @@ def test_agreeing_records():
     assert all(r.elapsed_ms >= 0 for r in records)
 
 
-def test_budget_skip_keeps_prediction_but_no_oracle():
+def test_non_z_ring_over_d4xd4_is_searched_and_agrees():
     records = crosscheck([B("T2Z4", "D4xD4")])
     rec = records[0]
-    assert rec.status == "Skipped"
+    assert rec.status == "Agree"
     assert rec.oracle is None
     assert rec.predicted.index is None
     assert not has_disagreement(records)
@@ -109,7 +109,7 @@ def test_report_lines_format():
     assert lines[2].split("\t")[:6] == [
         "M2F2", "C1", "none<=4", "-", "none<=bound", "Agree"]
     assert lines[3].split("\t")[:6] == [
-        "T2Z4", "D4xD4", "none<=4", "-", "-", "Skipped"]
+        "T2Z4", "D4xD4", "none<=4", "-", "none<=bound", "Agree"]
 
 
 def test_emit_report_round_trip(tmp_path):

@@ -8,6 +8,7 @@ and the choice of first counterexample.
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from jrl import _engine, nilpotency
@@ -179,16 +180,24 @@ def test_exhaustive_check_agrees_with_spanning_decision():
             assert exhaustive_check(rg, n) == bool(vanishes_left_normed(S, n))
 
 
-@pytest.mark.parametrize("ring,group,kind", [
-    ("Z2", "C2", "xor"), ("Z4", "C2", "mod"),
-    ("T2Z4", "C1", "table"), ("H32", "C1", "table"),
+TABLE_CONTEXTS = [("Z2", "C2", "xor"), ("Z4", "C2", "mod"),
+                  ("T2Z4", "C1", "table"), ("H32", "C1", "table")]
+
+
+# Columns per batch: three puts most columns next to a batch edge, five
+# does not divide any of the sizes so the last batch is partial, and None
+# keeps the default batch.
+@pytest.mark.parametrize("ring,group,kind,columns", [
+    pytest.param(*ctx, columns, id="-".join(ctx[:3]) + suffix)
+    for ctx in TABLE_CONTEXTS
+    for columns, suffix in ((3, ""), (5, "-5cols"), (None, "-default"))
 ])
-def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind):
+def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind, columns):
     rg = make(ring, group)
     ctx = _engine.table_context(rg)
     assert kind == ("xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table")
-    # three columns per batch, so most columns sit next to a batch edge
-    monkeypatch.setattr(nilpotency, "_TABLE_BATCH_CELLS", 3 * rg.size * ctx.ng)
+    if columns is not None:
+        monkeypatch.setattr(nilpotency, "_TABLE_BATCH_CELLS", columns * rg.size * ctx.ng)
     table, zero_id = nilpotency._full_circle_table(rg)
     nr, ng = ctx.nr, ctx.ng
 
@@ -203,6 +212,34 @@ def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind)
     for a in range(rg.size):
         for b in range(rg.size):
             assert table[a, b] == element_id(circle(els[a], els[b]))
+
+
+def unique_level_walk(rg, n):
+    """Degree-2..n nonzero value sets, each the np.unique of the previous
+    set's whole circle-table rows, stopping after the first empty set."""
+    table, zero_id = nilpotency._full_circle_table(rg)
+    values = np.arange(rg.size)
+    values = values[values != zero_id]
+    levels = []
+    for _level in range(2, n + 1):
+        values = np.unique(table[values, :])
+        values = values[values != zero_id]
+        levels.append(values)
+        if values.size == 0:
+            break
+    return levels
+
+
+@pytest.mark.parametrize("ring,group", [("Z4", "C2"), ("H32", "C1"), ("T2Z4", "C1")])
+def test_exhaustive_level_sets_match_unique_walk(ring, group):
+    rg = make(ring, group)
+    for n in (2, 3, 4):
+        want = unique_level_walk(rg, n)
+        got = list(nilpotency._exhaustive_levels(rg, n))
+        assert len(got) == len(want)
+        for mine, ref in zip(got, want):
+            assert np.array_equal(mine, ref)
+        assert exhaustive_check(rg, n) == (want[-1].size == 0)
 
 
 def test_exhaustive_check_accepts_bare_rings():
