@@ -18,13 +18,19 @@ _BLOCK_CELLS = 1 << 22  # target workload per final-level block
 
 
 class TableContext:
-    """numpy handles for one (ring, group) pair."""
+    """numpy handles for one (ring, group) pair.
+
+    radd, rmul and gmul are the ring's and group's own validated tables.
+    The derived tables are kept here, once: rneg and ginv, taken from the
+    ring and group that computed them at construction, ginv_cols for the
+    convolution fold, and the add_is_xor / add_is_mod flags.
+    """
 
     def __init__(self, rg: GroupRing):
         ring, group = rg.ring, rg.group
         self.radd = np.asarray(ring.add_table, dtype=np.int16)
         self.rmul = np.asarray(ring.mul_table, dtype=np.int16)
-        self.rneg = np.asarray([ring.neg(a) for a in ring.elements()], dtype=np.int16)
+        self.rneg = np.asarray(ring._neg, dtype=np.int16)
         self.gmul = np.asarray(group.table, dtype=np.int16)
         self.nr = ring.order
         self.ng = group.order
@@ -39,18 +45,13 @@ class TableContext:
         self.add_is_mod = bool(
             self.rzero == 0
             and np.array_equal(self.radd, (ids[:, None] + ids[None, :]) % self.nr))
-        # the identity alone, not the GroupRing: the ring caches this
-        # context, and a back-reference would make the two a cycle
-        self.group_identity = ident = group.identity
-        ginv = np.empty(self.ng, dtype=np.int16)
-        for a in range(self.ng):
-            ginv[a] = int(np.flatnonzero(self.gmul[a] == ident)[0])
-        self.ginv_cols = self.gmul[ginv]   # [g, h] -> g^-1 * h
+        self.ginv = np.asarray(group._inv, dtype=np.int16)
+        self.ginv_cols = self.gmul[self.ginv]   # [g, h] -> g^-1 * h
 
-    def mono_rows(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-        rows = np.full((len(pairs), self.ng), self.rzero, dtype=np.int16)
-        for i, (r, g) in enumerate(pairs):
-            rows[i, g] = r
+    def mono_rows(self, rs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        """The monomials rs[i]*gs[i] as rows (coefficient arrays)."""
+        rows = np.full((len(gs), self.ng), self.rzero, dtype=np.int16)
+        rows[np.arange(len(gs)), gs] = rs
         return rows
 
     def zero_row_mask(self, rows: np.ndarray) -> np.ndarray:
@@ -63,6 +64,14 @@ def table_context(rg: GroupRing) -> TableContext:
         cached = TableContext(rg)
         rg._tables = cached
     return cached
+
+
+def element_rows(ctx: TableContext) -> Tuple[np.ndarray, np.ndarray]:
+    """Every element of the group ring as a row, in id order, and the
+    base-|R| powers that encode a row as its id: id = row @ powers."""
+    powers = ctx.nr ** np.arange(ctx.ng, dtype=np.int64)
+    ids = np.arange(ctx.nr ** ctx.ng, dtype=np.int64)
+    return (ids[:, None] // powers % ctx.nr).astype(np.int16), powers
 
 
 def product_with_monomial(ctx: TableContext, P: np.ndarray, r: int, g: int,

@@ -170,7 +170,8 @@ def format_element(a: GroupRingElement) -> str:
 
 
 # ---------------------------------------------------------------------------
-# closed-form expansion checks used by the identity suite and the CLI
+# closed-form expansion checks, called only by the tests; the identity
+# suite checks the same expansions with its own vectorised code
 # ---------------------------------------------------------------------------
 
 def check_product_circle_expansion(R: FiniteRing, a: int, b: int, c: int) -> bool:

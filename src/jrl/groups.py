@@ -128,9 +128,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, g: int) -> bool:
-        return g in set(self.members)
-
 
 def _closure(G: FiniteGroup, seed: set) -> tuple:
     """Close a subset under products and inverses."""

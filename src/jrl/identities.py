@@ -35,23 +35,11 @@ class IdentityCheck:
 
 
 def _group_tables(ctx: _engine.TableContext):
-    g = ctx.gmul
-    n = g.shape[0]
-    idx = np.arange(n)
-    ident = ctx.group_identity
-    inv = np.empty(n, dtype=np.int16)
-    for a in range(n):
-        inv[a] = int(np.flatnonzero(g[a] == ident)[0])
+    g, inv = ctx.gmul, ctx.ginv
+    idx = np.arange(g.shape[0])
     comm = g[g[inv[:, None], inv[None, :]], g]
     conj = g[g[inv[None, :], idx[:, None]], idx[None, :]]
-    return idx, inv, ident, comm, conj
-
-
-def _rg_rows_all(ctx: _engine.TableContext) -> np.ndarray:
-    size = ctx.nr ** ctx.ng
-    powers = ctx.nr ** np.arange(ctx.ng, dtype=np.int64)
-    digits = (np.arange(size, dtype=np.int64)[:, None] // powers) % ctx.nr
-    return digits.astype(np.int16)
+    return idx, inv, comm, conj
 
 
 def _rg_rows_sample(ctx: _engine.TableContext, rng: np.random.Generator,
@@ -65,7 +53,7 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
     ctx = _engine.table_context(rg)
     checks: List[IdentityCheck] = []
     ng, nr = ctx.ng, ctx.nr
-    idx, inv, ident, comm, conj = _group_tables(ctx)
+    idx, inv, comm, conj = _group_tables(ctx)
     gmul = ctx.gmul
     radd, rmul, rneg = ctx.radd, ctx.rmul, ctx.rneg
     rzero, rone = ctx.rzero, rg.ring.one
@@ -101,14 +89,9 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
     # A product of two monomials is a single coefficient at a single
     # position, so both sides are built directly from the group table and
     # compared as coefficient rows (coinciding positions add in R).
-    def mono_rows(rs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        rows = np.full((len(gs), ng), rzero, dtype=np.int16)
-        rows[np.arange(len(gs)), gs] = rs
-        return rows
-
     def mono_circle(rs1, gs1, rs2, gs2) -> np.ndarray:
-        left = mono_rows(rmul[rs1, rs2], gmul[gs1, gs2])
-        right = mono_rows(rmul[rs2, rs1], gmul[gs2, gs1])
+        left = ctx.mono_rows(rmul[rs1, rs2], gmul[gs1, gs2])
+        right = ctx.mono_rows(rmul[rs2, rs1], gmul[gs2, gs1])
         return _engine.rows_add(ctx, left, right)
 
     xs, ys = np.meshgrid(idx, idx, indexing="ij")
@@ -118,18 +101,18 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
     yx = gmul[ys, xs]
 
     lhs = mono_circle(ones, xs, ones, ys)
-    rhs = _engine.rows_add(ctx, mono_rows(ones, gmul[yx, s]), mono_rows(ones, yx))
+    rhs = _engine.rows_add(ctx, ctx.mono_rows(ones, gmul[yx, s]), ctx.mono_rows(ones, yx))
     record("monomial-circle", "exhaustive", ng * ng, int((lhs != rhs).any(axis=1).sum()))
 
     lhs = mono_circle(ones, gmul[inv[xs], inv[ys]], ones, xs)
     rhs = _engine.rows_add(
-        ctx, mono_rows(ones, gmul[s, inv[ys]]), mono_rows(ones, inv[ys]))
+        ctx, ctx.mono_rows(ones, gmul[s, inv[ys]]), ctx.mono_rows(ones, inv[ys]))
     record("inverse-pair-circle", "exhaustive", ng * ng,
            int((lhs != rhs).any(axis=1).sum()))
 
     lhs = mono_circle(ones, gmul[inv[ys], xs], ones, ys)
     rhs = _engine.rows_add(
-        ctx, mono_rows(ones, gmul[xs, s]), mono_rows(ones, xs))
+        ctx, ctx.mono_rows(ones, gmul[xs, s]), ctx.mono_rows(ones, xs))
     record("conjugate-circle", "exhaustive", ng * ng,
            int((lhs != rhs).any(axis=1).sum()))
 
@@ -185,9 +168,9 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
         lhs = mono_circle(al, cx, be, cy)
         rhs = _engine.rows_add(
             ctx,
-            mono_rows(circ_r[al, be], yx),
-            _engine.rows_add(ctx, mono_rows(ab, gmul[yx, s]),
-                             _engine.rows_neg(ctx, mono_rows(ab, yx))),
+            ctx.mono_rows(circ_r[al, be], yx),
+            _engine.rows_add(ctx, ctx.mono_rows(ab, gmul[yx, s]),
+                             _engine.rows_neg(ctx, ctx.mono_rows(ab, yx))),
         )
         bad += int((lhs != rhs).any(axis=1).sum())
     record("monomial-circle-expansion", mode, count, bad)
@@ -197,7 +180,7 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
 
     def domain(arity: int, salt: int) -> Tuple[np.ndarray, ...]:
         if size ** arity <= EXHAUSTIVE_CELL_LIMIT:
-            all_rows = _rg_rows_all(ctx)
+            all_rows, _ = _engine.element_rows(ctx)
             grids = np.meshgrid(*[np.arange(size)] * arity, indexing="ij")
             return ("exhaustive",) + tuple(all_rows[g.ravel()] for g in grids)
         gen = np.random.default_rng(seed + salt)

@@ -148,7 +148,8 @@ def _walk(S: SpanningSet, n: int, op: str) -> JordanSearchResult:
     if len(S.pairs) == 0:
         return JordanSearchResult(True, index=2)
     ctx = _table_context(S.context)
-    V = ctx.mono_rows(S.pairs)
+    pairs = np.asarray(S.pairs)
+    V = ctx.mono_rows(pairs[:, 0], pairs[:, 1])
     prefixes = np.arange(len(S.pairs), dtype=np.int64)[:, None]
     V, prefixes = _nonzero_unique(ctx, V, prefixes)
     if V.shape[0] == 0:
@@ -217,9 +218,7 @@ def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
         return cached
     ctx = _engine.table_context(rg)
     size = rg.size
-    powers = (ctx.nr ** np.arange(ctx.ng, dtype=np.int64))
-    digits = (np.arange(size, dtype=np.int64)[:, None] // powers) % ctx.nr
-    rows = digits.astype(np.int16)
+    rows, powers = _engine.element_rows(ctx)
     table = np.empty((size, size), dtype=np.int16)
     step = max(1, _TABLE_BATCH_CELLS // (size * ctx.ng))
     for lo in range(0, size, step):
@@ -277,9 +276,6 @@ def exhaustive_check(context: Context, n: int) -> bool:
 # ring-level circle conditions
 # ---------------------------------------------------------------------------
 
-_FULL_LOOP_LIMIT = 32
-
-
 @dataclass(frozen=True)
 class RingConditions:
     """Circle-product facts about a bare ring used by the classifier."""
@@ -291,23 +287,19 @@ class RingConditions:
 
 
 def ring_conditions(R: FiniteRing, bound: int = 6) -> RingConditions:
-    """Evaluate the circle conditions, by full loops for small rings and
-    over additive-generator slots (each condition is additive per slot)
-    for larger ones."""
-    if R.order <= _FULL_LOOP_LIMIT:
-        radd = np.asarray(R.add_table, dtype=np.int16)
-        rmul = np.asarray(R.mul_table, dtype=np.int16)
-        circ = radd[rmul, rmul.T]
-        two = bool((radd[circ, circ] == R.zero).all())
-        vals = np.unique(circ)
-        cc = bool((circ[vals, :] == R.zero).all())
-        sq = bool((rmul[vals[:, None], vals[None, :]] == R.zero).all())
-    else:
-        gens = R.additive_generating_set()
-        two = all(R.dbl(R.circle(a, b)) == R.zero for a in gens for b in gens)
-        cc = all(R.circle(R.circle(a, b), c) == R.zero
-                 for a in gens for b in gens for c in gens)
-        sq = all(R.mul(R.circle(a, b), R.circle(c, d)) == R.zero
-                 for a in gens for b in gens for c in gens for d in gens)
+    """Evaluate the circle conditions over the additive generators of R.
+
+    Each condition is additive in every slot, so it holds on all of R
+    exactly when it holds on generators.  One gather builds the circle
+    products of generator pairs and one more decides each condition.
+    """
+    ctx = _table_context(R)
+    radd, rmul, zero = ctx.radd, ctx.rmul, ctx.rzero
+    g = np.asarray(R.additive_generating_set(), dtype=np.intp)
+    circ = radd[rmul[g[:, None], g], rmul[g, g[:, None]]]   # [i, j] = g_i o g_j
+    two = bool((radd[circ, circ] == zero).all())
+    ab = circ[:, :, None]
+    cc = bool((radd[rmul[ab, g], rmul[g, ab]] == zero).all())
+    sq = bool((rmul[ab[..., None], circ] == zero).all())
     upper = minimal_jordan_index(spanning_set(R), max_n=bound)
     return RingConditions(two, cc, sq, upper)

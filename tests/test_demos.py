@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the README's python blocks, run to completion
+against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +13,28 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_demos_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_python([str(script)])
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_readme_python_blocks_run():
+    # one program: the second block uses the rg that the first defines
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) >= 2
+    proc = run_python(["-c", "\n".join(blocks)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "4"

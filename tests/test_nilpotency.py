@@ -26,7 +26,7 @@ from jrl.nilpotency import (
     spanning_set,
     vanishes_left_normed,
 )
-from jrl.rings import builtin_ring
+from jrl.rings import BUILTIN_RING_NAMES, builtin_ring
 
 from support_rings import scalar_plus_strict_upper_4x4_gf2
 
@@ -326,7 +326,7 @@ def test_frozen_ring_conditions(name):
 
 
 def test_ring_conditions_match_definitions():
-    for name in ("Z8", "M2F2", "T2F2", "H32"):
+    for name in BUILTIN_RING_NAMES:
         R = builtin_ring(name)
         got = ring_conditions(R)
         els = range(R.order)
