@@ -85,9 +85,7 @@ def product_with_monomial(ctx: TableContext, P: np.ndarray, r: int, g: int,
     right[:, ctx.gmul[:, g]] = ctx.rmul[P, r]      # (p * rg)[h*g] = p[h]*r
     left = np.empty_like(P)
     left[:, ctx.gmul[g, :]] = ctx.rmul[r, P]       # (rg * p)[g*h] = r*p[h]
-    if op == "circle":
-        return ctx.radd[right, left]
-    return ctx.radd[right, ctx.rneg[left]]
+    return rows_add(ctx, right, left if op == "circle" else rows_neg(ctx, left))
 
 
 def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:

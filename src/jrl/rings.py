@@ -244,40 +244,25 @@ def upper_triangular_2x2(char_ring: int) -> FiniteRing:
     return _ring_from_model(name, elements, add, mul, (0, 0, 0), (1, 0, 1))
 
 
-def scalar_plus_strict_upper_3x3() -> FiniteRing:
-    """16-element ring: F2 multiples of the identity plus the strictly
-    upper-triangular 3x3 matrices over F2.  Index bits: (scalar, u12, u13, u23)."""
-    elements = [(i & 1, (i >> 1) & 1, (i >> 2) & 1, (i >> 3) & 1) for i in range(16)]
+def scalar_plus_strict_upper_3x3(scalar_mod: int) -> FiniteRing:
+    """Z/m multiples of the identity (m even) plus the strictly upper-
+    triangular 3x3 matrices over F2, so twice any nilpotent part is zero:
+    H16 at m = 2, H32 at m = 4.  Index = scalar + m*(u12 + 2*u13 + 4*u23)."""
+    m = scalar_mod
+    elements = [(i % m, (i // m) & 1, (i // m >> 1) & 1, (i // m >> 2) & 1)
+                for i in range(8 * m)]
 
     def add(x, y):
-        return tuple((u + v) % 2 for u, v in zip(x, y))
+        return ((x[0] + y[0]) % m, (x[1] + y[1]) % 2, (x[2] + y[2]) % 2, (x[3] + y[3]) % 2)
 
     def mul(x, y):
         a, p, q, r = x
         b, s, t, u = y
         # (a + U)(b + V) = ab + aV + bU + UV, with UV landing on the (1,3) slot
-        return ((a * b) % 2, (a * s + b * p) % 2,
+        return ((a * b) % m, (a * s + b * p) % 2,
                 (a * t + b * q + p * u) % 2, (a * u + b * r) % 2)
 
-    return _ring_from_model("H16", elements, add, mul, (0, 0, 0, 0), (1, 0, 0, 0))
-
-
-def scalar4_plus_strict_upper_3x3() -> FiniteRing:
-    """32-element ring: Z4 multiples of the identity plus strictly upper
-    3x3 matrices over F2 (so twice any nilpotent part is zero).
-    Index = scalar + 4*u12 + 8*u13 + 16*u23."""
-    elements = [(i % 4, (i >> 2) & 1, (i >> 3) & 1, (i >> 4) & 1) for i in range(32)]
-
-    def add(x, y):
-        return ((x[0] + y[0]) % 4, (x[1] + y[1]) % 2, (x[2] + y[2]) % 2, (x[3] + y[3]) % 2)
-
-    def mul(x, y):
-        a, p, q, r = x
-        b, s, t, u = y
-        return ((a * b) % 4, (a * s + b * p) % 2,
-                (a * t + b * q + p * u) % 2, (a * u + b * r) % 2)
-
-    return _ring_from_model("H32", elements, add, mul, (0, 0, 0, 0), (1, 0, 0, 0))
+    return _ring_from_model(f"H{8 * m}", elements, add, mul, (0, 0, 0, 0), (1, 0, 0, 0))
 
 
 BUILTIN_RING_NAMES = ("Z2", "Z4", "Z8", "Z16", "M2F2", "T2F2", "T2Z4", "H16", "H32")
@@ -297,10 +282,8 @@ def builtin_ring(name: str) -> FiniteRing:
         return upper_triangular_2x2(2)
     if key == "T2Z4":
         return upper_triangular_2x2(4)
-    if key == "H16":
-        return scalar_plus_strict_upper_3x3()
-    if key == "H32":
-        return scalar4_plus_strict_upper_3x3()
+    if key in ("H16", "H32"):
+        return scalar_plus_strict_upper_3x3(2 if key == "H16" else 4)
     if key.startswith("Z") and key[1:].isdigit() and int(key[1:]) >= 2:
         return zmod_ring(int(key[1:]))
     raise UnknownName(f"unknown ring {name!r}")

@@ -4,6 +4,7 @@ negative control proving the checks can actually fail."""
 import numpy as np
 import pytest
 
+from jrl import identities
 from jrl.groupring import GroupRing, circle, lie_bracket
 from jrl.groups import builtin_group
 from jrl.identities import (
@@ -140,3 +141,36 @@ def test_suite_detects_corrupted_arithmetic():
     checks = run_identity_suite(rg, samples=200)
     assert not suite_passed(checks)
     assert any(c.failures > 0 for c in checks)
+
+
+def test_every_check_can_run_sampled(monkeypatch):
+    # With a limit of one tuple no domain is enumerated: all 13 checks go
+    # through the sampled path and share the 10^4 floor equally
+    # (ceil(10^4 / 13) = 770 tuples each).
+    monkeypatch.setattr(identities, "EXHAUSTIVE_CELL_LIMIT", 1)
+    checks = run_identity_suite(make("Z2", "C2"), samples=50)
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert all(c.mode == "sampled" and c.tuples == 770 for c in checks)
+    assert suite_passed(checks)
+    broken = run_identity_suite(GroupRing(broken_z4(), builtin_group("C2")), samples=50)
+    assert all(c.mode == "sampled" for c in broken)
+    assert not suite_passed(broken)
+
+
+def test_sampled_draws_are_pinned():
+    # The corrupted ring over D4 at seed 3: the five element checks of
+    # arity 2 and 3 are sampled, so these failure counts change whenever
+    # the seeded draws do.
+    checks = run_identity_suite(GroupRing(broken_z4(), builtin_group("D4")), seed=3)
+    assert [c.name for c in checks] == CHECK_NAMES
+    failures = {c.name: c.failures for c in checks if c.failures}
+    assert failures == {
+        "product-circle-expansion": 2,
+        "bracket-jacobi": 1482,
+        "circle-additive-in-slot": 1748,
+        "bracket-additive-in-slot": 1310,
+    }
+    sampled = {c.name: c.tuples for c in checks if c.mode == "sampled"}
+    assert sampled == {"jordan-identity": 2000, "bracket-jacobi": 2000,
+                       "circle-additive-in-slot": 2000,
+                       "bracket-additive-in-slot": 2000, "circle-commutative": 2000}
