@@ -22,8 +22,9 @@ class TableContext:
 
     radd, rmul and gmul are the ring's and group's own validated tables.
     The derived tables are kept here, once: rneg and ginv, taken from the
-    ring and group that computed them at construction, ginv_cols for the
-    convolution fold, and the add_is_xor / add_is_mod flags.
+    ring and group that computed them at construction, ginv_cols and
+    rmul_scaled for the convolution fold, and the add_is_xor / add_is_mod
+    flags.
     """
 
     def __init__(self, rg: GroupRing):
@@ -47,6 +48,8 @@ class TableContext:
             and np.array_equal(self.radd, (ids[:, None] + ids[None, :]) % self.nr))
         self.ginv = np.asarray(group._inv, dtype=np.int16)
         self.ginv_cols = self.gmul[self.ginv]   # [g, h] -> g^-1 * h
+        # products times |R|: row offsets into the flattened addition table
+        self.rmul_scaled = self.rmul.ravel().astype(np.intp) * self.nr
 
     def mono_rows(self, rs: np.ndarray, gs: np.ndarray) -> np.ndarray:
         """The monomials rs[i]*gs[i] as rows (coefficient arrays)."""
@@ -88,26 +91,77 @@ def product_with_monomial(ctx: TableContext, P: np.ndarray, r: int, g: int,
     return rows_add(ctx, right, left if op == "circle" else rows_neg(ctx, left))
 
 
+# The fold works through row blocks of at most _FOLD_CELLS cells.  Each
+# block is held transposed, as (|G|, rows), so every numpy call runs along
+# rows as long as the block, not along rows of |G| entries.  The buffers
+# (A's entries times |R|, B's entries, the product index, one term, the
+# running sum) are allocated once per call, sized to one block, and each
+# group element of each block writes into them through out=: no array is
+# allocated per term, whatever the allocator's state.  (Fresh per-term
+# arrays the size of the output each became a new zero-filled mapping under
+# a fixed glibc mmap threshold.)  The sum is native XOR; native int16
+# addition, reduced mod |R| once per block (int32 only when |G| (|R| - 1)
+# overflows int16); or a gather from the flattened addition table at
+# t |R| + sum, which commutativity of addition allows, so each term t |R|
+# comes straight from rmul_scaled.  Each block's last ufunc writes the
+# transposed sum into the C-contiguous output.
+_FOLD_CELLS = 1 << 15
+_INT16_MAX = int(np.iinfo(np.int16).max)
+
+
 def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # out[:, h] = sum over g of A[:, g] * B[:, g^-1 h], started from the
-    # g = 0 term.  The per-term ring products go through the flattened
-    # table; the sum is native XOR, an int32 sum reduced mod the order, or
-    # a gather from the flattened addition table.  One g at a time keeps
-    # every temporary the size of the output.
-    mul, add = ctx.rmul.ravel(), ctx.radd.ravel()
-
-    def term(g: int) -> np.ndarray:
-        return mul[A[:, g, None].astype(np.intp) * ctx.nr + B[:, ctx.ginv_cols[g]]]
-
-    out = term(0).astype(np.int32) if ctx.add_is_mod else term(0)
-    for g in range(1, ctx.ng):
-        if ctx.add_is_xor:
-            out ^= term(g)
-        elif ctx.add_is_mod:
-            out += term(g)
+    # g = 0 term.  Every index is in range, so take's mode="clip" changes no
+    # value; it only spares numpy the copy of out that mode="raise" makes.
+    n, ng, nr = A.shape[0], ctx.ng, ctx.nr
+    mul, add, cols = ctx.rmul.ravel(), ctx.radd.ravel(), ctx.ginv_cols
+    mul_scaled = ctx.rmul_scaled
+    xor = ctx.add_is_xor
+    mod = ctx.add_is_mod and not xor
+    wide = mod and ng * (nr - 1) > _INT16_MAX
+    out = np.empty((n, ng), dtype=np.int16)
+    rows = max(1, _FOLD_CELLS // ng)
+    m = min(n, rows)
+    scaled = np.empty((ng, m), dtype=np.intp)
+    right = np.empty((ng, m), dtype=np.intp)
+    index = np.empty((ng, m), dtype=np.intp)
+    term = np.empty((ng, m), dtype=np.int16 if xor or mod else np.intp)
+    total = np.empty((ng, m), dtype=np.int32 if wide else np.int16)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        if hi - lo < m:  # a partial last block, on the buffers' contiguous heads
+            scaled, right, index, term, total = (
+                buf.reshape(-1)[:ng * (hi - lo)].reshape(ng, hi - lo)
+                for buf in (scaled, right, index, term, total))
+        np.multiply(A[lo:hi].T, nr, out=scaled, dtype=np.intp)
+        np.copyto(right, B[lo:hi].T)
+        if wide:
+            total.fill(0)
+        for g in range(ng):
+            right.take(cols[g], 0, index, "clip")
+            np.add(index, scaled[g], out=index)
+            if g == 0 and not wide:
+                mul.take(index, None, total, "clip")
+            elif xor:
+                mul.take(index, None, term, "clip")
+                np.bitwise_xor(total, term, out=total)
+            elif mod:
+                mul.take(index, None, term, "clip")
+                np.add(total, term, out=total)
+            else:
+                mul_scaled.take(index, None, term, "clip")
+                np.add(term, total, out=index)
+                add.take(index, None, total, "clip")
+        # a ufunc walks the block's long rows; copyto would walk the
+        # output's rows of |G| entries, about twice as slow at small |G|
+        block = out[lo:hi].T
+        if not mod:
+            np.positive(total, out=block)
+        elif nr & (nr - 1):
+            np.remainder(total, nr, out=block, casting="unsafe")
         else:
-            out = add[out.astype(np.intp) * ctx.nr + term(g)]
-    return (out % ctx.nr).astype(np.int16) if ctx.add_is_mod else out
+            np.bitwise_and(total, nr - 1, out=block, casting="unsafe")
+    return out
 
 
 def rows_mul(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:

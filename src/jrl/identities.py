@@ -13,7 +13,8 @@ MIN_SAMPLED_AGGREGATE tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import partial
 from typing import List
 
@@ -35,6 +36,7 @@ class IdentityCheck:
     mode: str            # "exhaustive" or "sampled"
     tuples: int
     failures: int
+    ms: float = field(default=0.0, compare=False)  # wall time of this check
 
     @property
     def ok(self) -> bool:
@@ -142,6 +144,7 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
 
     checks: List[IdentityCheck] = []
     for (name, dims, salt, test), shape in zip(table, shapes):
+        start = time.perf_counter()
         count = math.prod(shape)
         exhaustive = count <= EXHAUSTIVE_CELL_LIMIT
         if not exhaustive:
@@ -160,7 +163,8 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
             lhs, rhs = test(*coords)
             bad += int(np.not_equal(lhs, rhs).reshape(at.size, -1).any(axis=1).sum())
         checks.append(IdentityCheck(
-            name, "exhaustive" if exhaustive else "sampled", count, bad))
+            name, "exhaustive" if exhaustive else "sampled", count, bad,
+            (time.perf_counter() - start) * 1e3))
     return checks
 
 

@@ -36,7 +36,7 @@ from jrl.groupring import (
     left_normed_lie,
     lie_bracket,
 )
-from jrl.groups import builtin_group
+from jrl.groups import builtin_group, cyclic_group
 from jrl.nilpotency import minimal_jordan_index, spanning_set
 from jrl.rings import builtin_ring, zmod_ring
 
@@ -230,6 +230,64 @@ def test_fast_and_generic_folds_agree(ring, group):
         assert got.dtype == want.dtype and np.array_equal(got, want), kernel.__name__
     got, want = rows_neg(base, A), rows_neg(forced, A)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# --- the row-blocked fold across block edges ----------------------------------
+
+def fold_kind(ctx):
+    return "xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table"
+
+
+def read_only_rows(rg, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, rg.ring.order, size=(count, rg.group.order)).astype(np.int16)
+    rows.setflags(write=False)   # an in-place write to an input raises
+    return rows
+
+
+def check_fold_across_block_edges(rg, kind):
+    """rows_mul at 0 and 1 rows, one row either side of a block, one full
+    block, and several blocks with a partial last one: int16, C-contiguous,
+    equal to the forced table-addition fold on every row and to gr_mul on
+    the rows at the block edges."""
+    ctx = table_context(rg)
+    assert fold_kind(ctx) == kind
+    forced = TableContext(rg)
+    forced.add_is_xor = forced.add_is_mod = False
+    ng = rg.group.order
+    block = max(1, eng._FOLD_CELLS // ng)
+    for count in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        A = read_only_rows(rg, count, seed=count)
+        B = read_only_rows(rg, count, seed=count + 7)
+        got = rows_mul(ctx, A, B)
+        assert got.dtype == np.int16 and got.flags.c_contiguous, count
+        assert got.shape == (count, ng), count
+        assert np.array_equal(got, rows_mul(forced, A, B)), count
+        edges = {i for lo in range(0, count, block) for i in (lo, lo + block - 1)}
+        for i in sorted(i for i in edges | {count - 1} if 0 <= i < count):
+            want = gr_mul(rg.element([int(v) for v in A[i]]),
+                          rg.element([int(v) for v in B[i]]))
+            assert tuple(int(v) for v in got[i]) == want.coeffs, (count, i)
+
+
+@pytest.mark.parametrize("ring,group,kind", [
+    ("M2F2", "D4", "xor"), ("M2F2", "D4xD4", "xor"),
+    ("Z8", "D4", "mod"), ("Z8", "D4xD4", "mod"),
+    ("T2Z4", "D4", "table"), ("T2Z4", "D4xD4", "table"),
+])
+def test_fold_across_block_edges(ring, group, kind):
+    check_fold_across_block_edges(make(ring, group), kind)
+
+
+def test_mod_fold_with_an_int32_total():
+    # |G| (|R| - 1) = 128 * 257 overflows int16, so the mod fold sums in int32
+    rg = GroupRing(zmod_ring(258), cyclic_group(128))
+    assert rg.group.order * (rg.ring.order - 1) > np.iinfo(np.int16).max
+    check_fold_across_block_edges(rg, "mod")
+    # random rows stay far below the bound; 1 * 257 in every term reaches it
+    ones = np.full((3, 128), rg.ring.one, dtype=np.int16)
+    top = np.full((3, 128), 257, dtype=np.int16)
+    assert (rows_mul(table_context(rg), ones, top) == 128 * 257 % 258).all()
 
 
 @pytest.mark.parametrize("ring,group", ENGINE_CONTEXTS)

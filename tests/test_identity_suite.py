@@ -94,6 +94,14 @@ def test_identity_check_ok_property():
     assert not suite_passed(good + [IdentityCheck("x", "sampled", 10, 3)])
 
 
+def test_every_check_reports_its_time():
+    checks = run_identity_suite(make("Z4", "D4"), samples=200)
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert all(c.ms > 0 for c in checks)
+    # the time is reported, not compared: equal checks stay equal
+    assert IdentityCheck("x", "sampled", 10, 0, 1.5) == IdentityCheck("x", "sampled", 10, 0)
+
+
 def scalar_spot_checks(rg, count, seed):
     """The same laws, written with the scalar element type."""
     rng = np.random.default_rng(seed)
