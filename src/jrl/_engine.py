@@ -22,9 +22,9 @@ class TableContext:
 
     radd, rmul and gmul are the ring's and group's own validated tables.
     The derived tables are kept here, once: rneg and ginv, taken from the
-    ring and group that computed them at construction, ginv_cols and
-    rmul_scaled for the convolution fold, and the add_is_xor / add_is_mod
-    flags.
+    ring and group that computed them at construction, ginv_cols for the
+    convolution kernels, rmul_scaled for the row-aligned fold, and the
+    add_is_xor / add_is_mod flags.
     """
 
     def __init__(self, rg: GroupRing):
@@ -200,15 +200,83 @@ def rows_bracket(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return rows_add(ctx, rows_mul(ctx, A, B), rows_neg(ctx, rows_mul(ctx, B, A)))
 
 
+# product_with_row sums each coordinate plane a block of rows at a time,
+# so that its one term buffer stays within _TERM_BYTES: 2^16 int16 terms
+# for native addition, 2^14 8-byte row offsets for the addition-table
+# gather.
+_TERM_BYTES = 1 << 17
+
+
 def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
                      op: str) -> np.ndarray:
     """circle/bracket of every row of P with one fixed element row, or with
-    each row of a (k, |G|) block: then out[i, j] = P[i] op block[j]."""
-    block = np.atleast_2d(brow)
-    m, k = P.shape[0], block.shape[0]
-    prod = (rows_circle if op == "circle" else rows_bracket)(
-        ctx, np.repeat(P, k, axis=0), np.tile(block, (m, 1)))
-    return prod.reshape(m, k, ctx.ng) if brow.ndim == 2 else prod
+    each row of a (k, |G|) block: then out[i, j] = P[i] op block[j].
+
+    Pairwise, with no copy of either operand per pair.  The products of
+    P's entries with every ring element are gathered once, as
+    left[g, i, r] = P[i, g] r and right[x, i, r] = r P[i, x] (negated
+    through rows_neg for the bracket).  Coordinate h of the (m, k) plane
+    of all pairs is then the sum over g of two column gathers,
+    left[g] at block[:, g^-1 h] and right[g^-1 h] at block[:, g]: the
+    2|G| terms of ab + ba (or ab - ba).  The terms are added by native
+    XOR, by native int16 addition reduced mod |R| once per plane (int32
+    when 2|G| (|R| - 1) overflows int16), or by gathers from the
+    flattened addition table at t |R| + sum.  The planes fill one
+    (|G|, m, k) buffer, returned as an (m, k, |G|) view, or (m, |G|) for
+    a 1-D brow.
+    """
+    Q = np.atleast_2d(brow)
+    m, k, ng, nr = P.shape[0], Q.shape[0], ctx.ng, ctx.nr
+    xor = ctx.add_is_xor
+    mod = ctx.add_is_mod and not xor
+    wide = mod and 2 * ng * (nr - 1) > _INT16_MAX
+    left = ctx.rmul[P.T]                  # [g, i, r] = P[i, g] * r
+    right = ctx.rmul.T[P.T]               # [x, i, r] = r * P[i, x]
+    if op != "circle":
+        right = rows_neg(ctx, right)
+    if xor or mod:
+        sources = (left, right)
+    else:                                 # terms as row offsets t |R|
+        sources = (np.multiply(left, nr, dtype=np.intp),
+                   np.multiply(right, nr, dtype=np.intp))
+        add = ctx.radd.ravel()
+    QT = Q.T.astype(np.intp)              # [g] = entry g of every block row
+    out = np.empty((ng, m, k), dtype=np.int16)
+    dtype = np.dtype(np.int16 if xor or mod else np.intp)
+    rows = max(1, _TERM_BYTES // (max(k, 1) * dtype.itemsize))
+    term = np.empty((min(m, rows), k), dtype=dtype)
+    total = np.empty_like(term, dtype=np.int32) if wide else None
+    # Every index is in range, so take's mode="clip" changes no value; it
+    # only spares numpy the copy of out that mode="raise" makes.
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        t = term[:hi - lo]
+        for h in range(ng):
+            plane = out[h, lo:hi]
+            acc = plane if total is None else total[:hi - lo]
+            x = ctx.ginv_cols[:, h]       # [g] = g^-1 h
+            steps = ([(sources[0][g, lo:hi], QT[x[g]]) for g in range(ng)]
+                     + [(sources[1][x[g], lo:hi], QT[g]) for g in range(ng)])
+            if wide:
+                acc.fill(0)
+            else:                         # the first term, unscaled, into acc
+                left[0, lo:hi].take(QT[x[0]], 1, acc, "clip")
+                steps = steps[1:]
+            for src, at in steps:
+                src.take(at, 1, t, "clip")
+                if xor:
+                    np.bitwise_xor(acc, t, out=acc)
+                elif mod:
+                    np.add(acc, t, out=acc)
+                else:
+                    np.add(t, acc, out=t)
+                    add.take(t, None, acc, "clip")
+            if mod and nr & (nr - 1):
+                np.remainder(acc, nr, out=plane, casting="unsafe")
+            elif mod:
+                np.bitwise_and(acc, nr - 1, out=plane, casting="unsafe")
+    prod = out.transpose(1, 2, 0)
+    return prod if brow.ndim == 2 else prod[:, 0, :]
 
 
 _PAIR_BLOCK = 4096  # adjacent equal-key pairs compared per block

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 from .classify import ClassificationResult, classify
@@ -30,7 +30,9 @@ class CrossCheckRecord:
     predicted: ClassificationResult
     oracle: Optional[int]          # minimal index, None when past the bound
     status: str                    # Agree | Disagree
-    elapsed_ms: float
+    elapsed_ms: float              # classify_ms + search_ms
+    classify_ms: float = field(default=0.0, compare=False)
+    search_ms: float = field(default=0.0, compare=False)
 
 
 def resolve_ring(name: str) -> FiniteRing:
@@ -85,10 +87,14 @@ def crosscheck(entries: Sequence[CatalogEntry], max_n: int = 4,
             continue
         start = time.perf_counter()
         predicted = classify(ring, group)
+        classified = time.perf_counter()
         oracle = minimal_jordan_index(spanning_set(GroupRing(ring, group)), max_n=max_n)
-        elapsed = (time.perf_counter() - start) * 1000.0
+        searched = time.perf_counter()
+        classify_ms = (classified - start) * 1000.0
+        search_ms = (searched - classified) * 1000.0
         status = "Agree" if _agrees(predicted, oracle) else "Disagree"
-        records.append(CrossCheckRecord(entry, predicted, oracle, status, elapsed))
+        records.append(CrossCheckRecord(entry, predicted, oracle, status,
+                                        classify_ms + search_ms, classify_ms, search_ms))
     return records
 
 

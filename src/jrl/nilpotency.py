@@ -192,11 +192,14 @@ def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
 # full-space oracle
 # ---------------------------------------------------------------------------
 
-# Cells (products times |G|) computed at once for the circle table.  A
-# batch multiplies at most `size` rows by its columns, so at 2^14 the
-# fold's 8-byte index temporaries stay within 128 KB and the allocator
-# can reuse them instead of mapping fresh pages for each.
-_TABLE_BATCH_CELLS = 1 << 14
+# Cells (products times |G|) computed at once for the circle table: a
+# batch of `step` rows against at most `size` columns fills one
+# (|G|, step, size) int16 buffer of at most this many cells, and
+# product_with_row's term buffer adds at most _engine._TERM_BYTES.  At 2^17
+# a 4096-element context takes at most 512 calls and its transient buffers
+# stay under half a megabyte next to its 32 MB table; at 2^18 the peak RSS
+# of a pass over the 27 contexts of at most 4096 elements rose by 0.6 MB.
+_TABLE_BATCH_CELLS = 1 << 17
 
 # Table rows marked per step of the exhaustive level walk.
 _LEVEL_BLOCK_ROWS = 16
@@ -204,29 +207,37 @@ _LEVEL_BLOCK_ROWS = 16
 
 def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
     """Pairwise circle products over every element of the context, as a
-    (size, size) table of element ids.  Cached on the context; built by
-    plain convolution of pairs of actual elements, a batch of columns at a
-    time, with no spanning shortcut.
+    (size, size) table of element ids.  Cached on the context; built from
+    the coordinates of each pair of actual elements through the ring's own
+    tables, a batch of rows at a time, with no spanning or additivity
+    shortcut.
 
-    Each unordered pair is convolved once: a batch of columns [lo, hi)
-    computes rows [0, hi), and the block below it is the transpose of the
-    one above.  That mirror is exact because a o b = ab + ba and
-    b o a = ba + ab are equal whenever addition commutes, which FiniteRing
-    checks of every addition table it accepts."""
+    Each unordered pair is computed once: a batch of rows [lo, hi) is
+    product_with_row's gathered operand, against the columns [0, hi), and
+    fills table[lo:hi, :hi]; the batch's columns above it,
+    table[:lo, lo:hi], are the transpose of table[lo:hi, :lo].  That mirror
+    is exact because a o b = ab + ba and b o a = ba + ab are equal whenever
+    addition commutes, which FiniteRing checks of every addition table it
+    accepts.  Ids are encoded plane by plane in int16 (Horner over the
+    coordinates); every id is below size <= EXHAUSTIVE_CAP."""
     cached = getattr(rg, "_full_circle", None)
     if cached is not None:
         return cached
     ctx = _engine.table_context(rg)
-    size = rg.size
+    size, nr, ng = rg.size, ctx.nr, ctx.ng
     rows, powers = _engine.element_rows(ctx)
     table = np.empty((size, size), dtype=np.int16)
-    step = max(1, _TABLE_BATCH_CELLS // (size * ctx.ng))
+    step = max(1, _TABLE_BATCH_CELLS // (size * ng))
     for lo in range(0, size, step):
         hi = min(lo + step, size)
-        prod = _engine.product_with_row(ctx, rows[:hi], rows[lo:hi], "circle")
-        table[:hi, lo:hi] = prod.astype(np.int64) @ powers
-        table[lo:hi, :lo] = table[:lo, lo:hi].T
-    zero_id = int(np.full(ctx.ng, ctx.rzero, dtype=np.int64) @ powers)
+        prod = _engine.product_with_row(ctx, rows[lo:hi], rows[:hi], "circle")
+        ids = table[lo:hi, :hi]
+        np.copyto(ids, prod[..., ng - 1])
+        for h in range(ng - 2, -1, -1):
+            ids *= nr
+            ids += prod[..., h]
+        table[:lo, lo:hi] = table[lo:hi, :lo].T
+    zero_id = int(np.full(ng, ctx.rzero, dtype=np.int64) @ powers)
     rg._full_circle = (table, zero_id)
     return table, zero_id
 

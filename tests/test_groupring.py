@@ -1,6 +1,7 @@
 """Scalar group-ring arithmetic, pinned against a dict-of-terms model,
 and the vectorized kernels pinned against the scalar layer."""
 
+import functools
 import gc
 import weakref
 
@@ -279,9 +280,15 @@ def test_fold_across_block_edges(ring, group, kind):
     check_fold_across_block_edges(make(ring, group), kind)
 
 
+@functools.lru_cache(maxsize=None)
+def zmod_over_c128(order):
+    """Z_order[C128], built once per module: validating Z258 takes a second."""
+    return GroupRing(zmod_ring(order), cyclic_group(128))
+
+
 def test_mod_fold_with_an_int32_total():
     # |G| (|R| - 1) = 128 * 257 overflows int16, so the mod fold sums in int32
-    rg = GroupRing(zmod_ring(258), cyclic_group(128))
+    rg = zmod_over_c128(258)
     assert rg.group.order * (rg.ring.order - 1) > np.iinfo(np.int16).max
     check_fold_across_block_edges(rg, "mod")
     # random rows stay far below the bound; 1 * 257 in every term reaches it
@@ -322,6 +329,63 @@ def test_product_with_row_matches_scalar(ring, group, op):
     for i, e in enumerate(els):
         for j, b in enumerate(bels):
             assert tuple(int(v) for v in got[i, j]) == scalar(e, b).coeffs
+
+
+def pairwise_reference(ctx, P, block, op):
+    """product_with_row by its definition: the row-aligned circle or
+    bracket of np.repeat/np.tile copies of the two operands."""
+    m, k = P.shape[0], block.shape[0]
+    kernel = rows_circle if op == "circle" else rows_bracket
+    return kernel(ctx, np.repeat(P, k, axis=0), np.tile(block, (m, 1))).reshape(m, k, ctx.ng)
+
+
+def check_product_with_row(ctx, P, block, op):
+    """2-D and 1-D product_with_row equal the reference, on read-only inputs."""
+    P, block = P.copy(), block.copy()
+    P.setflags(write=False)
+    block.setflags(write=False)
+    want = pairwise_reference(ctx, P, block, op)
+    got = product_with_row(ctx, P, block, op)
+    assert got.dtype == np.int16 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for j in range(block.shape[0]):
+        got = product_with_row(ctx, P, block[j], op)
+        assert got.shape == (P.shape[0], ctx.ng)
+        assert np.array_equal(got, want[:, j]), j
+
+
+@pytest.mark.parametrize("order", [129, 258])
+@pytest.mark.parametrize("op", ["circle", "bracket"])
+def test_product_with_row_int16_boundary(order, op):
+    # The pairwise sum has 2|G| terms: 2 * 128 * (|R| - 1) overflows int16
+    # for both orders, though the fold's 128 * 128 does not for Z129.
+    rg = zmod_over_c128(order)
+    ctx = table_context(rg)
+    assert ctx.add_is_mod and 2 * 128 * (order - 1) > np.iinfo(np.int16).max
+    top = np.full(128, order - 1, dtype=np.int16)
+    ones = np.full(128, rg.ring.one, dtype=np.int16)
+    rows = np.stack([top, ones, top])
+    check_product_with_row(ctx, rows, rows[::-1], op)
+    if op == "circle":   # 2|G| terms of (|R| - 1) * 1 each
+        got = product_with_row(ctx, top[None], ones, op)
+        assert (got == -2 * 128 % order).all()
+
+
+@pytest.mark.parametrize("ring,group", [("M2F2", "D4"), ("Z8", "D4"), ("T2Z4", "D4")])
+@pytest.mark.parametrize("op", ["circle", "bracket"])
+def test_product_with_row_across_row_blocks(monkeypatch, ring, group, op):
+    # three rows per block of the term buffer, so seven rows end in a
+    # partial block
+    rg = make(ring, group)
+    ctx = table_context(rg)
+    k = 5
+    itemsize = 2 if ctx.add_is_xor or ctx.add_is_mod else np.dtype(np.intp).itemsize
+    monkeypatch.setattr(eng, "_TERM_BYTES", 3 * k * itemsize)
+    P, _ = rows_and_elements(rg, 7, seed=71)
+    block, _ = rows_and_elements(rg, k, seed=72)
+    check_product_with_row(ctx, P, block, op)
+    assert product_with_row(ctx, P, block[:0], op).shape == (7, 0, rg.group.order)
+    assert product_with_row(ctx, P[:0], block, op).shape == (0, k, rg.group.order)
 
 
 def test_unique_rows_keep_first():

@@ -8,6 +8,7 @@ from jrl.groups import builtin_group
 from jrl.harness import (
     BUILTIN_PREFIX,
     CatalogEntry,
+    CrossCheckRecord,
     catalog_from_dir,
     crosscheck,
     default_catalog,
@@ -61,6 +62,17 @@ def test_agreeing_records():
     assert [r.oracle for r in records] == [2, None, 4]
     assert not has_disagreement(records)
     assert all(r.elapsed_ms >= 0 for r in records)
+
+
+def test_record_splits_time_into_classify_and_search():
+    records = crosscheck([B("Z2", "C2"), B("T2F2", "D4")])
+    for rec in records:
+        assert rec.classify_ms >= 0 and rec.search_ms >= 0
+        assert rec.classify_ms + rec.search_ms == rec.elapsed_ms
+    # the split is timing, not outcome: records differing only there are equal
+    rec = records[0]
+    assert rec == CrossCheckRecord(rec.entry, rec.predicted, rec.oracle, rec.status,
+                                   rec.elapsed_ms)
 
 
 def test_non_z_ring_over_d4xd4_is_searched_and_agrees():

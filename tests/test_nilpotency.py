@@ -180,8 +180,11 @@ def test_exhaustive_check_agrees_with_spanning_decision():
             assert exhaustive_check(rg, n) == bool(vanishes_left_normed(S, n))
 
 
+# Z2[S3] is the non-abelian one: g^-1 h differs from h g^-1 there, so a
+# convolution index taken the wrong way round shows.
 TABLE_CONTEXTS = [("Z2", "C2", "xor"), ("Z4", "C2", "mod"),
-                  ("T2Z4", "C1", "table"), ("H32", "C1", "table")]
+                  ("T2Z4", "C1", "table"), ("H32", "C1", "table"),
+                  ("Z2", "S3", "xor")]
 
 
 # Columns per batch: three puts most columns next to a batch edge, five
