@@ -4,6 +4,15 @@ Elements are numpy rows of ring-element indices, one column per group
 element.  Everything here is a faithful restatement of the scalar
 arithmetic in groupring.py; the test suite pins the two against each
 other on sampled inputs.
+
+The search frontier runs through one monomial kernel, behind
+candidate_block and scan_final_level.  Its monomials are grouped by
+ring coefficient: the products of the frontier rows with r are gathered
+once per distinct r, and each group element g of that r then costs one
+column permutation per side, through two (|G|, |G|) tables built once per
+context.  The work goes in bounded row tiles, held transposed, and the
+final scan stops at the first tile with a nonzero product, taking the
+least (row, monomial) hit across the tile's coefficient groups.
 """
 
 from __future__ import annotations
@@ -14,17 +23,14 @@ import numpy as np
 
 from .groupring import GroupRing
 
-_BLOCK_CELLS = 1 << 22  # target workload per final-level block
-
-
 class TableContext:
     """numpy handles for one (ring, group) pair.
 
     radd, rmul and gmul are the ring's and group's own validated tables.
     The derived tables are kept here, once: rneg and ginv, taken from the
     ring and group that computed them at construction, ginv_cols for the
-    convolution kernels, rmul_scaled for the row-aligned fold, and the
-    add_is_xor / add_is_mod flags.
+    convolution kernels, rmul_scaled for the row-aligned fold, the shift
+    tables of the monomial kernel, and the add_is_xor / add_is_mod flags.
     """
 
     def __init__(self, rg: GroupRing):
@@ -50,6 +56,11 @@ class TableContext:
         self.ginv_cols = self.gmul[self.ginv]   # [g, h] -> g^-1 * h
         # products times |R|: row offsets into the flattened addition table
         self.rmul_scaled = self.rmul.ravel().astype(np.intp) * self.nr
+        # column permutations of a product with a monomial r g, as take
+        # indices: [g, x] = x g^-1 (right side) and [g, x] = g^-1 x (left)
+        self.right_shift = self.gmul[:, self.ginv].T.astype(np.intp)
+        self.left_shift = self.ginv_cols.astype(np.intp)
+        self.last_plan = None   # (key, _MonomialPlan) of the last kernel call
 
     def mono_rows(self, rs: np.ndarray, gs: np.ndarray) -> np.ndarray:
         """The monomials rs[i]*gs[i] as rows (coefficient arrays)."""
@@ -75,20 +86,6 @@ def element_rows(ctx: TableContext) -> Tuple[np.ndarray, np.ndarray]:
     powers = ctx.nr ** np.arange(ctx.ng, dtype=np.int64)
     ids = np.arange(ctx.nr ** ctx.ng, dtype=np.int64)
     return (ids[:, None] // powers % ctx.nr).astype(np.int16), powers
-
-
-def product_with_monomial(ctx: TableContext, P: np.ndarray, r: int, g: int,
-                          op: str) -> np.ndarray:
-    """circle or bracket of every row of P with the monomial r*g.
-
-    Multiplying by a monomial permutes columns and rescales coefficients,
-    so each side costs one gather instead of a full convolution.
-    """
-    right = np.empty_like(P)
-    right[:, ctx.gmul[:, g]] = ctx.rmul[P, r]      # (p * rg)[h*g] = p[h]*r
-    left = np.empty_like(P)
-    left[:, ctx.gmul[g, :]] = ctx.rmul[r, P]       # (rg * p)[g*h] = r*p[h]
-    return rows_add(ctx, right, left if op == "circle" else rows_neg(ctx, left))
 
 
 # The fold works through row blocks of at most _FOLD_CELLS cells.  Each
@@ -336,15 +333,133 @@ def unique_rows_keep_first(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return arr[keep], keep
 
 
+# The monomial kernel.  The product of a row p with a monomial r g permutes
+# p's columns and rescales its entries: (p rg)[x] = p[x g^-1] r and
+# (rg p)[x] = r p[g^-1 x].  Per distinct r, a tile's rows are rescaled on
+# each side through one |R|-entry lookup row (the bracket's negation is
+# folded into the left one, the addition table's row offset t |R| into the
+# right one).  Consecutive monomials with the same r form a run; a run
+# costs one take per side, through right_shift and left_shift, and one
+# sum: native XOR, native addition reduced mod |R|, or a gather from the
+# flattened addition table.  A tile holds at most _TILE_CELLS products
+# (rows times run length times |G|); its buffers are allocated once per
+# call and a partial last tile uses their contiguous heads.  Tiles are held
+# transposed, as (|G|, rows), so each take moves whole rows of the buffer
+# instead of single entries, and candidate_block transposes each run's
+# sums into its output once.
+_TILE_CELLS = 1 << 15
+
+
+class _MonomialPlan:
+    """The monomials of one kernel call, grouped by ring coefficient in
+    order of first appearance: for each distinct r its two lookup rows and
+    its runs (first position, length).  Holds no buffer and no reference
+    to the context, so a context can keep its last plan at little cost."""
+
+    def __init__(self, ctx: TableContext, monos: Sequence[Tuple[int, int]], op: str):
+        ng = ctx.ng
+        pairs = np.asarray(monos, dtype=np.intp).reshape(-1, 2)
+        self.gs = pairs[:, 1]
+        self.kind = "xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table"
+        rs = pairs[:, 0].tolist()
+        distinct = list(dict.fromkeys(rs))
+        right = ctx.rmul.T[distinct]                    # [i, p] = p r_i
+        left = ctx.rmul[distinct]                       # [i, p] = r_i p
+        if op != "circle":
+            left = ctx.rneg[left]
+        if self.kind == "table":
+            right = right.astype(np.intp) * ctx.nr
+        cap = max(1, _TILE_CELLS // ng)          # monomials per run, at most
+        cuts = [j for j in range(1, len(rs)) if rs[j] != rs[j - 1]]
+        runs: dict = {r: [] for r in distinct}
+        for a, b in zip([0, *cuts], [*cuts, len(rs)]):
+            runs[rs[a]].extend((j0, min(cap, b - j0)) for j0 in range(a, b, cap))
+        self.groups = list(zip(right, left, runs.values()))
+        self.widest = max((k for group in runs.values() for _, k in group), default=1)
+        self.rows = max(1, _TILE_CELLS // (self.widest * ng))
+
+    def tiles(self, ctx: TableContext, V: np.ndarray):
+        """For each row tile of V, yield (lo, hi, runs), where runs yields
+        (j0, k, prod) for each run: the products of V[lo:hi] with monomials
+        j0 .. j0 + k - 1, transposed, so prod[j |G| + x, i] is entry x of
+        row lo + i times monomial j0 + j.  prod is a buffer that the next
+        run overwrites.  Every index is in range, so take's mode="clip"
+        changes no value; it only spares numpy the copy of out that
+        mode="raise" makes."""
+        m, ng, nr = V.shape[0], ctx.ng, ctx.nr
+        rows = min(self.rows, m)
+        cells = self.widest * ng * rows
+        wide = np.intp if self.kind == "table" else np.int16
+        Vr_buf = np.empty(ng * rows, dtype=wide)
+        rV_buf = np.empty(ng * rows, dtype=np.int16)
+        right_buf = np.empty(cells, dtype=wide)
+        left_buf = np.empty(cells, dtype=np.int16)
+        sums_buf = np.empty(cells, dtype=np.int16)
+        rcols, lcols = ctx.right_shift[self.gs], ctx.left_shift[self.gs]
+        add = ctx.radd.ravel()
+
+        def runs(lo, hi):
+            n = hi - lo
+            PT = V[lo:hi].T
+            Vr = Vr_buf[:ng * n].reshape(ng, n)
+            rV = rV_buf[:ng * n].reshape(ng, n)
+            for right, left, group in self.groups:
+                right.take(PT, None, Vr, "clip")
+                left.take(PT, None, rV, "clip")
+                for j0, k in group:
+                    size = k * ng * n
+                    a = right_buf[:size].reshape(k * ng, n)
+                    b = left_buf[:size].reshape(k * ng, n)
+                    sums = sums_buf[:size].reshape(k * ng, n)
+                    Vr.take(rcols[j0:j0 + k].ravel(), 0, a, "clip")
+                    rV.take(lcols[j0:j0 + k].ravel(), 0, b, "clip")
+                    if self.kind == "xor":
+                        np.bitwise_xor(a, b, out=sums)
+                    elif self.kind == "mod":
+                        # unsigned, so the sum of two ids below 2^15 cannot wrap
+                        au = a.view(np.uint16)
+                        np.add(au, b.view(np.uint16), out=au)
+                        if nr & (nr - 1):
+                            np.remainder(au, nr, out=sums, casting="unsafe")
+                        else:
+                            np.bitwise_and(au, nr - 1, out=sums, casting="unsafe")
+                    else:
+                        np.add(a, b, out=a)
+                        add.take(a, None, sums, "clip")
+                    yield j0, k, sums
+
+        for lo in range(0, m, self.rows):
+            hi = min(lo + self.rows, m)
+            yield lo, hi, runs(lo, hi)
+
+
+def _plan(ctx: TableContext, monos: Sequence[Tuple[int, int]], op: str) -> _MonomialPlan:
+    """The plan of the last kernel call on ctx when it had the same
+    monomials and op, else a new one: a search asks for one plan at every
+    level and again for its final scan."""
+    key = (tuple(map(tuple, monos)), op)
+    if ctx.last_plan is None or ctx.last_plan[0] != key:
+        ctx.last_plan = (key, _MonomialPlan(ctx, monos, op))
+    return ctx.last_plan[1]
+
+
 def candidate_block(ctx: TableContext, V: np.ndarray,
                     monos: Sequence[Tuple[int, int]], op: str) -> np.ndarray:
     """All products of rows in V with every monomial, ordered row-major
     (V index major, monomial index minor)."""
-    m, s = V.shape[0], len(monos)
-    out = np.empty((m, s, ctx.ng), dtype=V.dtype)
-    for j, (r, g) in enumerate(monos):
-        out[:, j, :] = product_with_monomial(ctx, V, r, g, op)
-    return out.reshape(m * s, ctx.ng)
+    m, s, ng = V.shape[0], len(monos), ctx.ng
+    out = np.empty((m, s * ng), dtype=np.int16)
+    for lo, hi, runs in _plan(ctx, monos, op).tiles(ctx, V):
+        for j0, k, prod in runs:
+            np.copyto(out[lo:hi, j0 * ng:(j0 + k) * ng], prod.T)
+    return out.reshape(m * s, ng)
+
+
+def product_with_monomial(ctx: TableContext, P: np.ndarray, r: int, g: int,
+                          op: str) -> np.ndarray:
+    """circle or bracket of every row of P with the monomial r*g: the
+    one-monomial case of candidate_block."""
+    return candidate_block(ctx, P, ((r, g),), op)
 
 
 def scan_final_level(ctx: TableContext, V: np.ndarray, monos: Sequence[Tuple[int, int]],
@@ -352,16 +467,22 @@ def scan_final_level(ctx: TableContext, V: np.ndarray, monos: Sequence[Tuple[int
     """Find the first (row index into V, monomial index) whose product is
     nonzero, treating candidates in (row, monomial) order; None if all vanish.
 
-    Rows are scanned in blocks, and the first block with a hit ends the scan.
+    Rows are scanned in the kernel's row tiles, and the first tile with a
+    hit ends the scan.  A tile's runs come in coefficient-group order, not
+    monomial order, so the tile's answer is the least of every run's first
+    hit (its first row with one, and that row's first monomial).
     """
-    m, s = V.shape[0], len(monos)
-    block = max(1, _BLOCK_CELLS // max(1, s * ctx.ng))
-    for lo in range(0, m, block):
-        hits = []
-        for j, (r, g) in enumerate(monos):
-            nz = ~ctx.zero_row_mask(product_with_monomial(ctx, V[lo:lo + block], r, g, op))
-            if nz.any():
-                hits.append((lo + int(np.argmax(nz)), j))
-        if hits:
-            return min(hits)
+    ng = ctx.ng
+    for lo, hi, runs in _plan(ctx, monos, op).tiles(ctx, V):
+        best = None
+        for j0, k, prod in runs:
+            nz = prod != ctx.rzero
+            if not nz.any():
+                continue
+            hits = nz.reshape(k, ng, hi - lo).any(axis=1)      # [j, i]
+            i = int(np.argmax(hits.any(axis=0)))
+            hit = (lo + i, j0 + int(np.argmax(hits[:, i])))
+            best = hit if best is None else min(best, hit)
+        if best is not None:
+            return best
     return None

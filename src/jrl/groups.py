@@ -149,14 +149,18 @@ def _closure(G: FiniteGroup, seed: set) -> tuple:
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators."""
-    comms = {G.commutator(x, y) for x in G.elements() for y in G.elements()}
-    return Subgroup(G, _closure(G, comms))
+    """Subgroup generated by all commutators x^-1 y^-1 x y, read off the
+    group table in one gather."""
+    T, inv = G.table, G._inv
+    present = np.zeros(G.order, dtype=bool)
+    present[T[T[inv[:, None], inv[None, :]], T]] = True
+    return Subgroup(G, _closure(G, set(np.flatnonzero(present).tolist())))
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    members = [g for g in G.elements() if all(G.mul(g, h) == G.mul(h, g) for h in G.elements())]
-    return Subgroup(G, tuple(members))
+    """The elements whose table row equals their table column."""
+    members = np.flatnonzero((G.table == G.table.T).all(axis=1))
+    return Subgroup(G, tuple(members.tolist()))
 
 
 def is_central(G: FiniteGroup, members: Sequence[int]) -> bool:

@@ -11,7 +11,7 @@ independent witness the reduction is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -242,27 +242,32 @@ def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
     return table, zero_id
 
 
-def _exhaustive_levels(rg: GroupRing, n: int) -> Iterator[np.ndarray]:
+def _exhaustive_levels(rg: GroupRing, n: int) -> List[np.ndarray]:
     """The nonzero degree-k values of left-normed circle products over all
     elements, as increasing element ids, for k = 2..n; stops after the
     first empty set.
 
-    Each level marks every circle-table entry of the previous level's
-    values in a membership mask of length size, a block of table rows at a
-    time, clears zero and reads the marked ids back.
+    The levels are cached on the context next to its circle table and
+    extended only as far as a call asks, so calls at several degrees walk
+    each level once, in any order.  Each new level marks every
+    circle-table entry of the previous level's values in a membership mask
+    of length size, a block of table rows at a time, clears zero and reads
+    the marked ids back.
     """
     table, zero_id = _full_circle_table(rg)
-    values = np.flatnonzero(np.arange(rg.size) != zero_id)
-    seen = np.zeros(rg.size, dtype=bool)
-    for _level in range(2, n + 1):
-        seen[:] = False
+    levels = getattr(rg, "_circle_levels", None)
+    if levels is None:
+        levels = rg._circle_levels = []
+    while len(levels) < n - 1 and (not levels or levels[-1].size):
+        values = levels[-1] if levels else np.flatnonzero(np.arange(rg.size) != zero_id)
+        seen = np.zeros(rg.size, dtype=bool)
         for lo in range(0, values.size, _LEVEL_BLOCK_ROWS):
             seen[table[values[lo:lo + _LEVEL_BLOCK_ROWS]]] = True
         seen[zero_id] = False
-        values = np.flatnonzero(seen)
-        yield values
-        if values.size == 0:
-            return
+        level = np.flatnonzero(seen)
+        level.setflags(write=False)
+        levels.append(level)
+    return levels[:n - 1]
 
 
 def exhaustive_check(context: Context, n: int) -> bool:
@@ -271,7 +276,8 @@ def exhaustive_check(context: Context, n: int) -> bool:
     Walks the set of degree-k partial values instead of materialising the
     tuple list; that set is exact (no linearity is assumed anywhere), so
     the verdict equals the literal nested loop.  Each level's set is a
-    membership mask over every element id (see _exhaustive_levels).
+    membership mask over every element id, and the sets are cached on the
+    context (see _exhaustive_levels).
     Contexts above EXHAUSTIVE_CAP elements are refused.
     """
     _check_degree(n)

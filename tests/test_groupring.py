@@ -3,6 +3,7 @@ and the vectorized kernels pinned against the scalar layer."""
 
 import functools
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -504,7 +505,7 @@ def test_scan_final_level_first_hit():
 
 
 def test_scan_final_level_blocked_jobs_agree(monkeypatch):
-    monkeypatch.setattr(eng, "_BLOCK_CELLS", 256)  # many small blocks
+    monkeypatch.setattr(eng, "_TILE_CELLS", 256)  # many small tiles
     rg = make("Z2", "D4")
     ctx = table_context(rg)
     rng = np.random.default_rng(91)
@@ -515,3 +516,94 @@ def test_scan_final_level_blocked_jobs_agree(monkeypatch):
     monos = [(1, 3)]
     hit = scan_final_level(ctx, V, monos, "circle")
     assert hit is not None and hit[0] == 353
+
+
+# --- the coefficient-grouped monomial kernel ----------------------------------
+
+KERNEL_CONTEXTS = [
+    ("M2F2", "D4", "xor"),
+    ("Z8", "D4", "mod"),
+    ("T2Z4", "D4", "table"),
+    ("H32", "S3", "table"),
+]
+
+
+def shuffled_monomials(rg, seed):
+    """Three ring coefficients in random order, so each repeats away from
+    its other uses, then one coefficient five times in a row."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.choice(np.arange(1, rg.ring.order), size=3, replace=False)
+    rs = [*rng.choice(coeffs, size=9), *[coeffs[0]] * 5]
+    return [(int(r), int(rng.integers(rg.group.order))) for r in rs]
+
+
+# Tile sizes in products per |G|: the default; 15 monomials per tile, so
+# the widest run (5) gives three-row tiles and seven rows end in a partial
+# one; 2, so every run is cut into runs of at most two.
+@pytest.mark.parametrize("ring,group,kind", KERNEL_CONTEXTS)
+@pytest.mark.parametrize("op", ["circle", "bracket"])
+@pytest.mark.parametrize("tile", [None, 15, 2])
+def test_candidate_block_matches_scalar(monkeypatch, ring, group, kind, op, tile):
+    rg = make(ring, group)
+    ctx = TableContext(rg)   # a fresh context holds no plan from another tile size
+    assert fold_kind(ctx) == kind
+    if tile is not None:
+        monkeypatch.setattr(eng, "_TILE_CELLS", tile * rg.group.order)
+    P, els = rows_and_elements(rg, 7, seed=101)
+    monos = shuffled_monomials(rg, seed=102)
+    scalar = circle if op == "circle" else lie_bracket
+    got = candidate_block(ctx, P, monos, op).reshape(7, len(monos), -1)
+    for i, e in enumerate(els):
+        for j, (r, g) in enumerate(monos):
+            assert tuple(int(v) for v in got[i, j]) == scalar(e, rg.embed(r, g)).coeffs
+    # zero rows first, so the first hit lies past the first tile
+    P[:4] = rg.ring.zero
+    got = candidate_block(ctx, P, monos, op)
+    nonzero = np.flatnonzero(~ctx.zero_row_mask(got))
+    want = None if nonzero.size == 0 else divmod(int(nonzero[0]), len(monos))
+    assert want is None or want[0] >= 4
+    assert scan_final_level(ctx, P, monos, op) == want
+
+
+def test_scan_final_level_takes_the_least_hit_across_coefficient_groups():
+    # Over Z8[C1], v o r = 2vr.  Row 0 (v = 2) vanishes against r = 2 and
+    # not against r = 1; row 1 (v = 1) does not vanish against r = 2.  The
+    # r = 2 group comes first and hits row 1; the r = 1 group hits row 0,
+    # which is the first hit in (row, monomial) order.
+    rg = make("Z8", "C1")
+    ctx = TableContext(rg)
+    V = np.array([[2], [1]], dtype=np.int16)
+    monos = [(2, 0), (1, 0)]
+    assert candidate_block(ctx, V, monos, "circle").ravel().tolist() == [0, 4, 4, 2]
+    assert scan_final_level(ctx, V, monos, "circle") == (0, 1)
+
+
+def degree_one_frontier(rg):
+    S = spanning_set(rg)
+    ctx = TableContext(rg)
+    pairs = np.asarray(S.pairs)
+    V = ctx.mono_rows(pairs[:, 0], pairs[:, 1])
+    return ctx, V[~ctx.zero_row_mask(V)], S.pairs
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_is_bounded():
+    # fresh contexts, so each call also builds its plan
+    rg = make("M2F2", "D4xD4")
+    ctx, V, pairs = degree_one_frontier(rg)
+    assert V.shape == (256, 64)
+    out, peak = traced_peak(candidate_block, ctx, V, pairs, "circle")
+    assert out.nbytes == 256 * 256 * 64 * 2
+    assert peak <= out.nbytes + (1 << 20)
+    del out
+    ctx, V, pairs = degree_one_frontier(rg)
+    hit, peak = traced_peak(scan_final_level, ctx, V, pairs, "circle")
+    assert hit is not None and peak <= 1 << 20

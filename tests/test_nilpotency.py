@@ -82,6 +82,10 @@ FROZEN_VIOLATIONS = [
     ("Z4", "C2", 2, (0, 0)),
     ("M2F2", "C2", 4, (0, 2, 0, 0)),
     ("Z8", "C4", 3, (0, 0, 0)),
+    # the first degree-4 witnesses over D4xD4 (M2F2's is pinned below)
+    ("H32", "D4xD4", 4, (0, 1, 12, 32)),
+    ("T2F2", "D4xD4", 4, (0, 64, 0, 0)),
+    ("T2Z4", "D4xD4", 4, (0, 0, 64, 0)),
 ]
 
 
@@ -150,6 +154,32 @@ def test_m2f2_d4xd4_walk_pins(monkeypatch, capsys):
     res = vanishes_left_normed(spanning_set(make("M2F2", "D4xD4")), 4)
     assert not res.vanishes and res.index is None
     assert res.indices == (0, 64, 0, 0)
+
+
+# Distinct nonzero partial values at degrees 1 to 4 over D4xD4.
+D4XD4_FRONTIERS = [
+    ("T2F2", [192, 196, 190, 176]),
+    ("H16", [256, 328, 156, 16]),
+    ("Z2", [64, 66, 15, 0]),
+]
+
+
+@pytest.mark.parametrize("ring,sizes", D4XD4_FRONTIERS)
+def test_d4xd4_frontier_sizes(monkeypatch, ring, sizes):
+    # a scan at degree 5 materialises the frontiers of degrees 2 to 4
+    frontiers = []
+    step = nilpotency._next_level
+
+    def spy(ctx, V, prefixes, pairs, op):
+        out = step(ctx, V, prefixes, pairs, op)
+        if not frontiers:
+            frontiers.append(V.shape[0])
+        frontiers.append(out[0].shape[0])
+        return out
+
+    monkeypatch.setattr(nilpotency, "_next_level", spy)
+    vanishes_left_normed(spanning_set(make(ring, "D4xD4")), 5)
+    assert frontiers == sizes
 
 
 # --- full-space oracle -------------------------------------------------------
@@ -243,6 +273,19 @@ def test_exhaustive_level_sets_match_unique_walk(ring, group):
         for mine, ref in zip(got, want):
             assert np.array_equal(mine, ref)
         assert exhaustive_check(rg, n) == (want[-1].size == 0)
+
+
+@pytest.mark.parametrize("ring,group", [("Z8", "C2"), ("Z4", "C1"), ("T2Z4", "C1")])
+def test_exhaustive_levels_are_cached_in_any_call_order(ring, group):
+    fresh = {n: exhaustive_check(make(ring, group), n) for n in (2, 3, 4)}
+    rg = make(ring, group)
+    assert {n: exhaustive_check(rg, n) for n in (4, 2, 3)} == fresh
+    levels = nilpotency._exhaustive_levels(rg, 4)
+    assert levels[-1].size == 0 or len(levels) == 3
+    # a deeper call extends the cached levels and recomputes none of them
+    deeper = nilpotency._exhaustive_levels(rg, 6)
+    assert all(a is b for a, b in zip(levels, deeper))
+    assert exhaustive_check(rg, 6) == exhaustive_check(make(ring, group), 6)
 
 
 def test_exhaustive_check_accepts_bare_rings():
