@@ -6,7 +6,7 @@ import pytest
 
 from jrl import identities
 from jrl.groupring import GroupRing, circle, lie_bracket
-from jrl.groups import builtin_group
+from jrl.groups import FiniteGroup, builtin_group
 from jrl.identities import (
     DEFAULT_SAMPLES,
     MIN_SAMPLED_AGGREGATE,
@@ -182,3 +182,50 @@ def test_sampled_draws_are_pinned():
     assert sampled == {"jordan-identity": 2000, "bracket-jacobi": 2000,
                        "circle-additive-in-slot": 2000,
                        "bracket-additive-in-slot": 2000, "circle-commutative": 2000}
+
+
+def broken_group(name: str, kind: str) -> FiniteGroup:
+    """A built-in group with one fault, built without the validating
+    constructor: "inverse" swaps the inverses of elements 1 and 2, "table"
+    overwrites the product 1*2 with 1*3."""
+    good = builtin_group(name)
+    G = object.__new__(FiniteGroup)
+    G.name = f"{name}broken"
+    G.order = good.order
+    G.identity = good.identity
+    table, inv = np.array(good.table), np.array(good._inv)
+    if kind == "inverse":
+        inv[[1, 2]] = inv[[2, 1]]
+    else:
+        table[1, 2] = table[1, 3]
+    G.table = table
+    G._inv = inv
+    G._rows = [[int(x) for x in row] for row in table]
+    G._abelian = None
+    return G
+
+
+MONOMIAL_CHECKS = ("monomial-circle", "inverse-pair-circle", "conjugate-circle",
+                   "monomial-circle-expansion")
+
+
+@pytest.mark.parametrize("ring,group,kind,failures", [
+    ("Z4", "D4", "inverse", {
+        "commutator-of-product-left": 308, "commutator-of-product-right": 276,
+        "monomial-circle": 26, "inverse-pair-circle": 28, "conjugate-circle": 28,
+        "monomial-circle-expansion": 208, "jordan-identity": 1276,
+        "bracket-jacobi": 1953}),
+    ("M2F2", "S3", "table", {
+        "commutator-of-product-left": 47, "commutator-of-product-right": 45,
+        "monomial-circle": 4, "inverse-pair-circle": 5, "conjugate-circle": 6,
+        "monomial-circle-expansion": 792, "bracket-jacobi": 1666}),
+], ids=["Z4-D4-inverse", "M2F2-S3-table"])
+def test_monomial_checks_detect_a_corrupted_group(ring, group, kind, failures):
+    # broken_z4 stays consistent with its own circle table, so the four
+    # monomial checks pass on it; a corrupted group makes each of them fail.
+    # The counts are pinned: they are exactly the tuples whose two sides
+    # differ, so any change to how the sides are compared shows here.
+    checks = run_identity_suite(GroupRing(builtin_ring(ring), broken_group(group, kind)))
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert {c.name: c.failures for c in checks if c.failures} == failures
+    assert all(failures[name] > 0 for name in MONOMIAL_CHECKS)
