@@ -455,13 +455,6 @@ def candidate_block(ctx: TableContext, V: np.ndarray,
     return out.reshape(m * s, ng)
 
 
-def product_with_monomial(ctx: TableContext, P: np.ndarray, r: int, g: int,
-                          op: str) -> np.ndarray:
-    """circle or bracket of every row of P with the monomial r*g: the
-    one-monomial case of candidate_block."""
-    return candidate_block(ctx, P, ((r, g),), op)
-
-
 def scan_final_level(ctx: TableContext, V: np.ndarray, monos: Sequence[Tuple[int, int]],
                      op: str) -> Tuple[int, int] | None:
     """Find the first (row index into V, monomial index) whose product is

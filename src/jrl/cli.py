@@ -76,7 +76,8 @@ def _cmd_identities(args) -> int:
     width = max(len(c.name) for c in checks)
     for c in checks:
         mark = "ok" if c.ok else f"FAIL ({c.failures} bad)"
-        print(f"{c.name:<{width}s}  {c.mode:<10s} {c.tuples:>8d} tuples  {mark}")
+        print(f"{c.name:<{width}s}  {c.mode:<10s} {c.tuples:>8d} tuples "
+              f"{c.ms:>8.1f} ms  {mark}")
     if suite_passed(checks):
         print(f"all {len(checks)} identity checks passed on {rg.name}")
         return 0

@@ -8,7 +8,7 @@ kernels that are tested against these functions.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import ContextMismatch, EmptySequence, InvalidExponent
 from .groups import FiniteGroup
@@ -168,32 +168,3 @@ def format_element(a: GroupRingElement) -> str:
     terms = [f"{c}@{g}" for g, c in enumerate(a.coeffs) if c != R.zero]
     return " + ".join(terms) if terms else "0"
 
-
-# ---------------------------------------------------------------------------
-# closed-form expansion checks, called only by the tests; the identity
-# suite checks the same expansions with its own vectorised code
-# ---------------------------------------------------------------------------
-
-def check_product_circle_expansion(R: FiniteRing, a: int, b: int, c: int) -> bool:
-    """(ab) o c should expand to a(b o c) + (c o a)b - 2acb inside R."""
-    lhs = R.circle(R.mul(a, b), c)
-    rhs = R.add(
-        R.mul(a, R.circle(b, c)),
-        R.sub(R.mul(R.circle(c, a), b), R.dbl(R.mul(R.mul(a, c), b))),
-    )
-    return lhs == rhs
-
-
-def check_monomial_circle_expansion(ctx: GroupRing, alpha: int, beta: int,
-                                    x: int, y: int) -> bool:
-    """(alpha x) o (beta y) should equal (alpha o beta) yx + alpha beta yx((x,y) - 1)."""
-    R, G = ctx.ring, ctx.group
-    lhs = circle(ctx.embed(alpha, x), ctx.embed(beta, y))
-    yx = G.mul(y, x)
-    s = G.commutator(x, y)
-    tail = gr_mul(
-        ctx.embed(R.mul(alpha, beta), yx),
-        gr_add(ctx.embed(R.one, s), gr_neg(ctx.one())),
-    )
-    rhs = gr_add(ctx.embed(R.circle(alpha, beta), yx), tail)
-    return lhs == rhs

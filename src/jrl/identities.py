@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import List
 
 import numpy as np
@@ -43,47 +43,70 @@ class IdentityCheck:
         return self.failures == 0
 
 
-def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
-                       seed: int = 0) -> List[IdentityCheck]:
-    """Run every identity check against one context and report each one."""
+def check_table(rg: GroupRing) -> tuple:
+    """The suite's rows, (name, domain, seed offset, test): a test maps one
+    coordinate array per domain entry to both sides of its identity."""
     ctx = _engine.table_context(rg)
     ng, nr, rzero, one = ctx.ng, ctx.nr, ctx.rzero, rg.ring.one
-    gmul, inv, radd, rmul, rneg = ctx.gmul, ctx.ginv, ctx.radd, ctx.rmul, ctx.rneg
-    add, neg = partial(_engine.rows_add, ctx), partial(_engine.rows_neg, ctx)
-    mul = partial(_engine.rows_mul, ctx)
-    circle = partial(_engine.rows_circle, ctx)
-    bracket = partial(_engine.rows_bracket, ctx)
-    mono = ctx.mono_rows
+    radd, rmul, rneg = ctx.radd, ctx.rmul, ctx.rneg
+    add, neg, mul, circle, bracket = (partial(f, ctx) for f in (
+        _engine.rows_add, _engine.rows_neg, _engine.rows_mul, _engine.rows_circle,
+        _engine.rows_bracket))
 
+    gmul, inv = ctx.gmul.astype(np.intp), ctx.ginv.astype(np.intp)
     ids = np.arange(ng)
     comm = gmul[gmul[inv[:, None], inv[None, :]], gmul]  # [x, y] = x^-1 y^-1 x y
     conj = gmul[gmul[inv[None, :], ids[:, None]], ids]   # [x, y] = y^-1 x y
     circ = radd[rmul, rmul.T]                           # [a, b] = a o b in R
 
-    # A product of two monomials is one coefficient at one position, so
-    # both sides of a monomial identity are built straight from the tables
-    # and compared as coefficient rows (coinciding positions add in R).
-    def mono_circle(r, x, s, y):       # (r x) o (s y) as rows
-        return add(mono(rmul[r, s], gmul[x, y]), mono(rmul[s, r], gmul[y, x]))
+    def pick(table, a, b):             # table[a, b], as one flat take
+        return table.take(a * table.shape[1] + b)
+
+    # A side of a monomial identity is a few (position, coefficient) terms,
+    # one group element and one ring element per tuple.  Two sides are equal
+    # in RG exactly when, at each position that a term of either side names,
+    # their coefficients there add up to the same element of R (all other
+    # positions are zero).  probe returns both sides' sums, one column per
+    # distinct position array; equal positions of different arrays are
+    # found per tuple by one equality mask per pair of arrays.
+    def probe(lhs, rhs):
+        places = list({id(p): p for p, _ in lhs + rhs}.values())
+        same = {frozenset((id(p), id(q))): np.equal(p, q)
+                for i, p in enumerate(places) for q in places[:i]}
+
+        def sums(terms):               # [tuple, place] = the side's sum there
+            side = np.empty((len(places), places[0].size), dtype=np.int16)
+            for a, q in enumerate(places):
+                side[a] = reduce(add, [c if p is q else np.where(
+                    same[frozenset((id(p), id(q)))], c, rzero) for p, c in terms])
+            return side.T
+        return sums(lhs), sums(rhs)
+
+    def mono_circle(r, x, s, y, yx):   # (r x) o (s y) = rs xy + sr yx
+        return [(pick(gmul, x, y), pick(rmul, r, s)), (yx, pick(rmul, s, r))]
 
     def product_left(x, y, z):         # (xy, z) = (x, z)^y (y, z)
-        return comm[gmul[x, y], z], gmul[conj[comm[x, z], y], comm[y, z]]
+        return (pick(comm, pick(gmul, x, y), z),
+                pick(gmul, pick(conj, pick(comm, x, z), y), pick(comm, y, z)))
 
     def product_right(x, y, z):        # (x, yz) = (x, z) (x, y)^z
-        return comm[x, gmul[y, z]], gmul[comm[x, z], conj[comm[x, y], z]]
+        return (pick(comm, x, pick(gmul, y, z)),
+                pick(gmul, pick(comm, x, z), pick(conj, pick(comm, x, y), z)))
 
     def monomial_circle(x, y):         # x o y = yx (x, y) + yx
-        yx = gmul[y, x]
-        return (mono_circle(one, x, one, y),
-                add(mono(one, gmul[yx, comm[x, y]]), mono(one, yx)))
+        yx = pick(gmul, y, x)
+        return probe(mono_circle(one, x, one, y, yx),
+                     [(pick(gmul, yx, pick(comm, x, y)), one), (yx, one)])
 
     def inverse_pair_circle(x, y):     # (x^-1 y^-1) o x = (x, y) y^-1 + y^-1
-        return (mono_circle(one, gmul[inv[x], inv[y]], one, x),
-                add(mono(one, gmul[comm[x, y], inv[y]]), mono(one, inv[y])))
+        a, y_inv = pick(gmul, inv[x], inv[y]), inv[y]
+        return probe(mono_circle(one, a, one, x, pick(gmul, x, a)),
+                     [(pick(gmul, pick(comm, x, y), y_inv), one), (y_inv, one)])
 
     def conjugate_circle(x, y):        # (y^-1 x) o y = x (x, y) + x
-        return (mono_circle(one, gmul[inv[y], x], one, y),
-                add(mono(one, gmul[x, comm[x, y]]), mono(one, x)))
+        a = pick(gmul, inv[y], x)
+        return probe(mono_circle(one, a, one, y, pick(gmul, y, a)),
+                     [(pick(gmul, x, pick(comm, x, y)), one), (x, one)])
 
     def product_circle(a, b, c):       # (ab) o c = a(b o c) + (c o a)b - 2acb
         acb = rmul[rmul[a, c], b]
@@ -91,16 +114,18 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
                                          radd[rmul[circ[c, a], b], rneg[radd[acb, acb]]]]
 
     def monomial_expansion(r, s, x, y):  # (r x) o (s y) = (r o s) yx + rs yx ((x, y) - 1)
-        yx, rs = gmul[y, x], rmul[r, s]
-        rhs = add(mono(circ[r, s], yx), mono(rs, gmul[yx, comm[x, y]]))
-        return mono_circle(r, x, s, y), add(rhs, neg(mono(rs, yx)))
+        yx, rs = pick(gmul, y, x), pick(rmul, r, s)
+        rhs = [(yx, add(pick(circ, r, s), neg(rs))),       # (r o s - rs) yx
+               (pick(gmul, yx, pick(comm, x, y)), rs)]      # + rs yx (x, y)
+        return probe(mono_circle(r, x, s, y, yx), rhs)
 
     def circle_commutative(A, B):
         ab, ba = mul(A, B), mul(B, A)
         return add(ab, ba), add(ba, ab)
 
     def jordan(A, B):                  # (a^2 o b) o a = a^2 o (b o a), a^2 = a o a
-        sq = circle(A, A)
+        aa = mul(A, A)                 # a o a = aa + aa, from one product
+        sq = add(aa, aa)
         return circle(circle(sq, B), A), circle(sq, circle(B, A))
 
     def bracket_alternating(A):        # [a, a] = 0
@@ -118,7 +143,7 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
         return bracket(add(A, B), C), add(bracket(A, C), bracket(B, C))
 
     E = _ELEMENT
-    table = (  # name, domain, seed offset, test
+    return (  # name, domain, seed offset, test
         ("commutator-of-product-left", (ng, ng, ng), 8, product_left),
         ("commutator-of-product-right", (ng, ng, ng), 9, product_right),
         ("monomial-circle", (ng, ng), 10, monomial_circle),
@@ -134,6 +159,12 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
         ("bracket-additive-in-slot", (E, E, E), 7, bracket_additive),
     )
 
+
+def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
+                       seed: int = 0) -> List[IdentityCheck]:
+    """Run every identity check against one context and report each one."""
+    ctx, table = _engine.table_context(rg), check_table(rg)
+    ng, nr, E = ctx.ng, ctx.nr, _ELEMENT
     shapes = [[rg.size if d is E else d for d in dims] for _, dims, _, _ in table]
     # Contexts too big to enumerate must still see >= 10^4 random tuples
     # in total, however many of the checks end up sampled.

@@ -107,7 +107,7 @@ def test_identities_output(capsys):
     assert "all 13 identity checks passed on Z2[C4]" in out
     assert "jordan-identity" in out
     for line in out.strip().splitlines()[:-1]:
-        assert "tuples" in line and line.rstrip().endswith("ok")
+        assert "tuples" in line and " ms " in line and line.rstrip().endswith("ok")
 
 
 def test_crosscheck_directory_catalog(tmp_path, capsys):

@@ -14,7 +14,6 @@ import jrl._engine as eng
 from jrl._engine import (
     TableContext,
     candidate_block,
-    product_with_monomial,
     product_with_row,
     rows_add,
     rows_bracket,
@@ -28,11 +27,11 @@ from jrl._engine import (
 from jrl.errors import ContextMismatch, EmptySequence, InvalidExponent
 from jrl.groupring import (
     GroupRing,
-    check_monomial_circle_expansion,
-    check_product_circle_expansion,
     circle,
     format_element,
+    gr_add,
     gr_mul,
+    gr_neg,
     jordan_power,
     left_normed_jordan,
     left_normed_lie,
@@ -166,6 +165,31 @@ def test_equality_requires_same_context_object():
 
 # --- closed-form expansion checks -------------------------------------------
 
+def check_product_circle_expansion(R, a: int, b: int, c: int) -> bool:
+    """(ab) o c should expand to a(b o c) + (c o a)b - 2acb inside R."""
+    lhs = R.circle(R.mul(a, b), c)
+    rhs = R.add(
+        R.mul(a, R.circle(b, c)),
+        R.sub(R.mul(R.circle(c, a), b), R.dbl(R.mul(R.mul(a, c), b))),
+    )
+    return lhs == rhs
+
+
+def check_monomial_circle_expansion(ctx: GroupRing, alpha: int, beta: int,
+                                    x: int, y: int) -> bool:
+    """(alpha x) o (beta y) should equal (alpha o beta) yx + alpha beta yx((x,y) - 1)."""
+    R, G = ctx.ring, ctx.group
+    lhs = circle(ctx.embed(alpha, x), ctx.embed(beta, y))
+    yx = G.mul(y, x)
+    s = G.commutator(x, y)
+    tail = gr_mul(
+        ctx.embed(R.mul(alpha, beta), yx),
+        gr_add(ctx.embed(R.one, s), gr_neg(ctx.one())),
+    )
+    rhs = gr_add(ctx.embed(R.circle(alpha, beta), yx), tail)
+    return lhs == rhs
+
+
 @pytest.mark.parametrize("ring", ["Z8", "M2F2", "T2F2", "H32"])
 def test_product_circle_expansion_exhaustive_in_ring(ring):
     R = builtin_ring(ring)
@@ -185,6 +209,12 @@ def test_monomial_circle_expansion_exhaustive_t2f2_d4():
 
 
 # --- vectorized kernels vs the scalar layer ---------------------------------
+
+def product_with_monomial(ctx, P, r: int, g: int, op: str) -> np.ndarray:
+    """circle or bracket of every row of P with the monomial r*g: the
+    one-monomial case of candidate_block."""
+    return candidate_block(ctx, P, ((r, g),), op)
+
 
 ENGINE_CONTEXTS = [
     ("Z2", "D4"),      # xor fold

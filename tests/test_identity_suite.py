@@ -1,6 +1,8 @@
 """The identity suite itself: modes, determinism, sampling floor, and a
 negative control proving the checks can actually fail."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,23 @@ def test_monomial_checks_detect_a_corrupted_group(ring, group, kind, failures):
     assert [c.name for c in checks] == CHECK_NAMES
     assert {c.name: c.failures for c in checks if c.failures} == failures
     assert all(failures[name] > 0 for name in MONOMIAL_CHECKS)
+
+
+def test_monomial_expansion_chunk_memory_is_bounded():
+    # One chunk of 2^16 (r, s, x, y) tuples over the 64-element D4xD4: both
+    # sides and their comparison.  Built as dense coefficient rows, each
+    # side alone would be a (2^16, 64) int16 block of 8 MB.
+    rg = make("M2F2", "D4xD4")
+    tests = {name: (dims, test) for name, dims, _, test in identities.check_table(rg)}
+    dims, test = tests["monomial-circle-expansion"]
+    n = identities._MONO_CHUNK
+    coords = np.unravel_index(np.arange(n), dims)
+    tracemalloc.start()
+    try:
+        lhs, rhs = test(*coords)
+        bad = int(np.not_equal(lhs, rhs).reshape(n, -1).any(axis=1).sum())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad == 0
+    assert peak <= 4 << 20
