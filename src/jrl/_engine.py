@@ -12,11 +12,14 @@ once per distinct r, and each group element g of that r then costs one
 column permutation per side, through two (|G|, |G|) tables built once per
 context.  The work goes in bounded row tiles, held transposed, and the
 final scan stops at the first tile with a nonzero product, taking the
-least (row, monomial) hit across the tile's coefficient groups.
+least (row, monomial) hit across the tile's coefficient groups.  Between
+levels, zero rows are found a word at a time and equal rows merged by
+64-bit keys, each row checked exactly against its key group's first row.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -27,10 +30,10 @@ class TableContext:
     """numpy handles for one (ring, group) pair.
 
     radd, rmul and gmul are the ring's and group's own validated tables.
-    The derived tables are kept here, once: rneg and ginv, taken from the
-    ring and group that computed them at construction, ginv_cols for the
-    convolution kernels, rmul_scaled for the row-aligned fold, the shift
-    tables of the monomial kernel, and the add_is_xor / add_is_mod flags.
+    Derived tables are kept here, once: rneg and ginv, from the ring and
+    group, ginv_cols for the convolution kernels, rmul_scaled for the fold,
+    the monomial kernel's shift tables, the add_is_xor / add_is_mod flags
+    and zero_word, rzero in each int16 lane of a uint64 word.
     """
 
     def __init__(self, rg: GroupRing):
@@ -42,6 +45,7 @@ class TableContext:
         self.nr = ring.order
         self.ng = group.order
         self.rzero = ring.zero
+        self.zero_word = np.full(4, self.rzero, dtype=np.int16).view(np.uint64)[0]
         ids = np.arange(self.nr)
         # When the addition table happens to be XOR on indices, or plain
         # integer addition mod the order, the convolution fold can run as
@@ -69,7 +73,20 @@ class TableContext:
         return rows
 
     def zero_row_mask(self, rows: np.ndarray) -> np.ndarray:
-        return (rows == self.rzero).all(axis=1)
+        """Which rows are all rzero: flags per word (else per entry), OR-ed
+        a column of up to 8 bytes at a time, not reduced along the row."""
+        words = _words(rows)
+        flags = words != self.zero_word if words is not rows else rows != self.rzero
+        width = flags.shape[1]
+        cols = np.ascontiguousarray(flags).view(f"u{min(8, width & -width)}")
+        return reduce(np.bitwise_or, cols.T) == 0
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """int16 rows as uint64 words when a row is whole words, else rows."""
+    if rows.dtype != np.int16 or rows.shape[1] % 4:
+        return rows
+    return np.ascontiguousarray(rows).view(np.uint64)
 
 
 def table_context(rg: GroupRing) -> TableContext:
@@ -276,33 +293,28 @@ def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
     return prod if brow.ndim == 2 else prod[:, 0, :]
 
 
-_PAIR_BLOCK = 4096  # adjacent equal-key pairs compared per block
-
-
+@lru_cache(maxsize=None)
 def _hash_weights(count: int) -> np.ndarray:
-    """Fixed odd 64-bit multipliers, one per key column: a Weyl sequence
-    of the golden ratio, so the keys never depend on a random generator."""
-    steps = np.arange(1, count + 1, dtype=np.uint64)
-    return steps * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
+    """Fixed odd splitmix64 outputs, one per key column (Weyl steps are linear)."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31)) | np.uint64(1)
 
 
 def _row_keys(arr: np.ndarray) -> np.ndarray:
-    """One uint64 key per row: the row's bytes read as 64-bit words (each
-    entry cast on its own when the row width is not a whole number of
-    words), mixed in column by column."""
-    if arr.shape[1] * arr.itemsize % 8 == 0:
-        cols = np.ascontiguousarray(arr).view(np.uint64)
-    else:
-        cols = arr
-    weights = _hash_weights(cols.shape[1])
-    key = np.zeros(arr.shape[0], dtype=np.uint64)
-    tmp = np.empty_like(key)
-    for j in range(cols.shape[1]):
-        key ^= cols[:, j].astype(np.uint64, copy=False)
-        key *= weights[j]
-        np.right_shift(key, np.uint64(32), out=tmp)
-        key ^= tmp
-    return key
+    """One uint64 key per row: its words (else entries) times the weights, summed."""
+    words = _words(arr).astype(np.uint64, copy=False)
+    return words @ _hash_weights(words.shape[1])
+
+
+def _unique_rows_exact(arr: np.ndarray) -> np.ndarray:
+    """First-occurrence indices, increasing, by sorting whole rows as voids."""
+    view = np.ascontiguousarray(arr).view([("", arr.dtype)] * arr.shape[1]).ravel()
+    return np.sort(np.unique(view, return_index=True)[1])
+
+
+_CHECK_BYTES = 1 << 17  # rows gathered per block of the exact check
 
 
 def unique_rows_keep_first(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -310,27 +322,31 @@ def unique_rows_keep_first(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     The searches feed candidates in prefix-lexicographic order, so the
     first occurrence of a value carries its least index prefix; keeping
-    any other occurrence would change the reported witness.  Rows are
-    sorted by a 64-bit key (stably, so ties keep input order) and every
-    pair of neighbours with equal keys is compared exactly; any key
-    collision between different rows falls back to the exact row sort.
+    any other occurrence would change the reported witness.  Every row, in
+    order, must equal the least row of its key group (from a plain sort and
+    np.minimum.reduceat); else the exact row sort decides.
     """
-    if arr.shape[0] == 0:
+    n = arr.shape[0]
+    if n == 0:
         return arr, np.empty(0, dtype=np.int64)
     keys = _row_keys(arr)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    same = keys[1:] == keys[:-1]
-    keep = np.sort(order[np.concatenate(([True], ~same))])
-    tied = np.flatnonzero(same)
-    for lo in range(0, tied.size, _PAIR_BLOCK):
-        at = tied[lo:lo + _PAIR_BLOCK]
-        if not np.array_equal(arr[order[at]], arr[order[at + 1]]):
-            view = np.ascontiguousarray(arr).view(
-                [("", arr.dtype)] * arr.shape[1]).ravel()
-            keep = np.sort(np.unique(view, return_index=True)[1])
+    order = np.argsort(keys)
+    keys = keys.take(order)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = np.minimum.reduceat(order, starts)
+    least = np.empty_like(order)                # [i] = least row of i's group
+    least[order] = np.repeat(first, np.concatenate((starts[1:], [n])) - starts)
+    words = _words(arr)
+    step = max(1, _CHECK_BYTES // words[:1].nbytes)
+    buf = np.empty_like(words[:step])
+    keep = np.sort(first)
+    for lo in range(0, n, step):
+        at = least[lo:lo + step]
+        # every index is in range: mode="clip" only spares take a copy of buf
+        if not (words.take(at, 0, buf[:at.size], "clip") == words[lo:lo + step]).all():
+            keep = _unique_rows_exact(arr)
             break
-    return arr[keep], keep
+    return arr.take(keep, 0), keep
 
 
 # The monomial kernel.  The product of a row p with a monomial r g permutes

@@ -51,9 +51,11 @@ class GroupRing:
 
     def embed(self, r: int, g: int) -> "GroupRingElement":
         """The monomial r*g."""
+        if not (0 <= r < self.ring.order and 0 <= g < self.group.order):
+            raise ValueError(f"monomial {r}@{g} out of range")
         coeffs = [self.ring.zero] * self.group.order
-        coeffs[g] = r
-        return self.element(coeffs)
+        coeffs[g] = int(r)
+        return GroupRingElement(self, tuple(coeffs))
 
 
 class GroupRingElement:

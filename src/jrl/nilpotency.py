@@ -97,20 +97,11 @@ class JordanSearchResult:
         return self.vanishes
 
 
-def _nonzero_unique(ctx: _engine.TableContext, cand: np.ndarray,
-                    prefixes: np.ndarray):
-    """Drop zero rows, dedup by value keeping first (prefix-lex least)
-    occurrence; orders output by original candidate position."""
+def _nonzero_unique(ctx: _engine.TableContext, cand: np.ndarray):
+    """cand's distinct nonzero rows, first occurrences, and their indices."""
     nz = np.flatnonzero(~ctx.zero_row_mask(cand))
-    uniq, keep = _engine.unique_rows_keep_first(cand[nz])
-    return uniq, prefixes[nz[keep]]
-
-
-def _extend_prefixes(prefixes: np.ndarray, count: int) -> np.ndarray:
-    m = prefixes.shape[0]
-    reps = np.repeat(prefixes, count, axis=0)
-    tail = np.tile(np.arange(count, dtype=prefixes.dtype), m)[:, None]
-    return np.concatenate([reps, tail], axis=1)
+    uniq, keep = _engine.unique_rows_keep_first(cand.take(nz, 0))
+    return uniq, nz[keep]
 
 
 _CHUNK_CELLS = 1 << 23  # bound on candidate cells materialised at once
@@ -121,16 +112,18 @@ def _next_level(ctx: _engine.TableContext, V: np.ndarray, prefixes: np.ndarray,
     """Extend every partial in V by every monomial, pruning zeros and
     merging equal values.  Work proceeds in row chunks so the candidate
     array never balloons; chunk order preserves the global candidate
-    order, so first-occurrence dedup still finds prefix-lex minima."""
+    order, so first-occurrence dedup still finds prefix-lex minima.
+    Candidate c is partial c // s times monomial c % s."""
     s = len(pairs)
     chunk = max(1, _CHUNK_CELLS // max(1, s * ctx.ng))
-    parts = [_nonzero_unique(ctx, _engine.candidate_block(ctx, V[lo:lo + chunk], pairs, op),
-                             _extend_prefixes(prefixes[lo:lo + chunk], s))
+    parts = [_nonzero_unique(ctx, _engine.candidate_block(ctx, V[lo:lo + chunk], pairs, op))
              for lo in range(0, V.shape[0], chunk)]
     if len(parts) == 1:
-        return parts[0]
-    return _nonzero_unique(ctx, np.concatenate([c for c, _ in parts]),
-                           np.concatenate([p for _, p in parts]))
+        V, c = parts[0]
+    else:
+        V, keep = _engine.unique_rows_keep_first(np.concatenate([u for u, _ in parts]))
+        c = np.concatenate([at + i * chunk * s for i, (_, at) in enumerate(parts)])[keep]
+    return V, np.column_stack((prefixes[c // s], c % s))
 
 
 def _walk(S: SpanningSet, n: int, op: str) -> JordanSearchResult:
@@ -145,13 +138,10 @@ def _walk(S: SpanningSet, n: int, op: str) -> JordanSearchResult:
     tuple in tuple order.
     """
     _check_degree(n)
-    if len(S.pairs) == 0:
-        return JordanSearchResult(True, index=2)
     ctx = _table_context(S.context)
-    pairs = np.asarray(S.pairs)
-    V = ctx.mono_rows(pairs[:, 0], pairs[:, 1])
-    prefixes = np.arange(len(S.pairs), dtype=np.int64)[:, None]
-    V, prefixes = _nonzero_unique(ctx, V, prefixes)
+    pairs = np.asarray(S.pairs, dtype=np.intp).reshape(-1, 2)
+    V, first = _nonzero_unique(ctx, ctx.mono_rows(pairs[:, 0], pairs[:, 1]))
+    prefixes = first[:, None]
     if V.shape[0] == 0:
         return JordanSearchResult(True, index=2)
     for degree in range(2, n):

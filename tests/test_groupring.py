@@ -39,7 +39,7 @@ from jrl.groupring import (
 )
 from jrl.groups import builtin_group, cyclic_group
 from jrl.nilpotency import minimal_jordan_index, spanning_set
-from jrl.rings import builtin_ring, zmod_ring
+from jrl.rings import FiniteRing, builtin_ring, zmod_ring
 
 
 def make(ring, group):
@@ -146,6 +146,19 @@ def test_error_types():
         rg1.element([0, 0])
     with pytest.raises(ValueError):
         rg1.element([0, 0, 0, 9])
+
+
+def test_embed_is_the_monomial_and_checks_its_indices():
+    rg = make("Z4", "C4")
+    for r in range(4):
+        for g in range(4):
+            coeffs = [0] * 4
+            coeffs[g] = r
+            assert rg.embed(r, g) == rg.element(coeffs)
+    # a negative group index must not wrap to the last coefficient
+    for r, g in [(0, -1), (1, -4), (1, 4), (-1, 0), (4, 0)]:
+        with pytest.raises(ValueError):
+            rg.embed(r, g)
 
 
 def test_format_element():
@@ -446,7 +459,7 @@ def rows_with_duplicates(width, count, planted, value_range, row_seed):
 
 @seed(20251224)
 @settings(max_examples=60, deadline=None, database=None)
-@given(width=st.sampled_from([1, 6, 8, 64]), count=st.integers(1, 300),
+@given(width=st.sampled_from([1, 4, 6, 8, 16, 64]), count=st.integers(1, 300),
        planted=st.integers(0, 200),
        value_range=st.sampled_from([(0, 2), (0, 4), (-32768, 32767)]),
        row_seed=st.integers(0, 2 ** 32 - 1))
@@ -462,6 +475,10 @@ def test_unique_rows_keep_first_matches_void_reference(width, count, planted,
 def test_unique_rows_keep_first_survives_total_key_collision(monkeypatch):
     monkeypatch.setattr(eng, "_hash_weights",
                         lambda count: np.zeros(count, dtype=np.uint64))
+    exact = eng._unique_rows_exact
+    calls = []
+    monkeypatch.setattr(eng, "_unique_rows_exact",
+                        lambda arr: calls.append(arr.shape) or exact(arr))
     for width in (1, 6, 8, 64):
         arr = rows_with_duplicates(width, 500, 300, (0, 3), width)
         assert not eng._row_keys(arr).any()  # every row collides
@@ -469,6 +486,41 @@ def test_unique_rows_keep_first_survives_total_key_collision(monkeypatch):
         want = void_unique_reference(arr)
         assert np.array_equal(keep, want)
         assert np.array_equal(uniq, arr[want])
+    assert calls == [(500, width) for width in (1, 6, 8, 64)]
+
+
+def relabelled_ring(R, shift):
+    """R with every element index moved up by shift mod |R|, so that zero
+    is no longer index 0."""
+    n = R.order
+    old = (np.arange(n) - shift) % n              # [new index] = old index
+    add = (np.asarray(R.add_table)[np.ix_(old, old)] + shift) % n
+    mul = (np.asarray(R.mul_table)[np.ix_(old, old)] + shift) % n
+    return FiniteRing(R.name + "'", add.tolist(), mul.tolist(),
+                      (R.zero + shift) % n, (R.one + shift) % n)
+
+
+@pytest.mark.parametrize("group", ["C1", "C2", "S3", "D4", "D4xD4"])
+@pytest.mark.parametrize("ring,shift", [("Z4", 0), ("M2F2", 0), ("T2Z4", 5)])
+def test_zero_row_mask_matches_entrywise_compare(ring, shift, group):
+    # widths 1, 2, 6, 8 and 64: below a word, a non-word width, and whole
+    # words; the shifted ring has a zero index of 5, set in every lane
+    R = builtin_ring(ring)
+    if shift:
+        R = relabelled_ring(R, shift)
+    ctx = TableContext(GroupRing(R, builtin_group(group)))
+    ng, zero = ctx.ng, ctx.rzero
+    rng = np.random.default_rng(ng)
+    random = rng.integers(0, ctx.nr, size=(200, ng)).astype(np.int16)
+    random[::7] = zero
+    lanes = np.full((ng, ng), zero, dtype=np.int16)   # row j: nonzero at j only
+    lanes[np.arange(ng), np.arange(ng)] = (zero + 1) % ctx.nr
+    rows = np.concatenate([random, np.full((3, ng), zero, dtype=np.int16), lanes])
+    got = ctx.zero_row_mask(rows)
+    assert got.dtype == bool
+    assert np.array_equal(got, (rows == zero).all(axis=1))
+    assert not got[-ng:].any() and got[200:203].all()
+    assert ctx.zero_row_mask(rows[:0]).shape == (0,)
 
 
 def test_table_context_dies_with_its_group_ring():

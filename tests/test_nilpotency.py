@@ -15,7 +15,7 @@ from jrl import _engine, nilpotency
 from jrl.cli import main as cli_main
 from jrl.errors import TooLarge
 from jrl.groupring import GroupRing, circle, left_normed_jordan, left_normed_lie
-from jrl.groups import builtin_group
+from jrl.groups import BUILTIN_GROUP_NAMES, builtin_group
 from jrl.nilpotency import (
     EXHAUSTIVE_CAP,
     RingConditions,
@@ -26,7 +26,7 @@ from jrl.nilpotency import (
     spanning_set,
     vanishes_left_normed,
 )
-from jrl.rings import BUILTIN_RING_NAMES, builtin_ring
+from jrl.rings import BUILTIN_RING_NAMES, FiniteRing, builtin_ring
 
 from support_rings import scalar_plus_strict_upper_4x4_gf2
 
@@ -180,6 +180,74 @@ def test_d4xd4_frontier_sizes(monkeypatch, ring, sizes):
     monkeypatch.setattr(nilpotency, "_next_level", spy)
     vanishes_left_normed(spanning_set(make(ring, "D4xD4")), 5)
     assert frontiers == sizes
+
+
+def walk_levels(S, n):
+    """Every (V, prefixes) that _next_level returns in one walk to degree n,
+    the row count of each candidate block it asks for, and the result."""
+    levels, blocks = [], []
+    step, block = nilpotency._next_level, _engine.candidate_block
+
+    def spy(ctx, V, prefixes, pairs, op):
+        out = step(ctx, V, prefixes, pairs, op)
+        levels.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nilpotency, "_next_level", spy)
+        m.setattr(_engine, "candidate_block",
+                  lambda *args: blocks.append(args[1].shape[0]) or block(*args))
+        res = vanishes_left_normed(S, n)
+    return levels, blocks, res
+
+
+@pytest.mark.parametrize("ring,group,n,rows,want_blocks", [
+    # 100-row chunks: frontiers of 256 and 456 rows, each ending in a part chunk
+    ("M2F2", "D4xD4", 4, 100, [100, 100, 56, 100, 100, 100, 100, 56]),
+    # s = 1: one monomial, so candidate c extends partial c with monomial 0
+    ("Z8", "C1", 4, 1, [1, 1]),
+])
+def test_next_level_chunks_match_one_chunk(monkeypatch, ring, group, n, rows,
+                                           want_blocks):
+    S = spanning_set(make(ring, group))
+    whole, one_chunk, res = walk_levels(S, n)
+    assert len(one_chunk) == len(whole)
+    cells = rows * len(S.pairs) * S.context.group.order
+    monkeypatch.setattr(nilpotency, "_CHUNK_CELLS", cells)
+    chunked, blocks, chunked_res = walk_levels(S, n)
+    assert blocks == want_blocks
+    assert chunked_res == res
+    assert len(chunked) == len(whole)
+    for (V1, p1), (V2, p2) in zip(whole, chunked):
+        assert V1.dtype == V2.dtype and p1.dtype == p2.dtype
+        assert V1.tobytes() == V2.tobytes() and V1.shape == V2.shape
+        assert p1.tobytes() == p2.tobytes() and p1.shape == p2.shape
+
+
+def test_zero_ring_has_no_monomials_and_index_two():
+    zero_ring = FiniteRing("Z1", [[0]], [[0]], 0, 0)
+    for group in ("C1", "D4"):
+        S = spanning_set(GroupRing(zero_ring, builtin_group(group)))
+        assert len(S) == 0
+        assert vanishes_left_normed(S, 5) == nilpotency.JordanSearchResult(True, index=2)
+        assert lie_vanishes_left_normed(S, 3)
+
+
+def test_real_frontiers_never_take_the_exact_dedup(monkeypatch):
+    # a key collision between different rows would send a level to the
+    # void-row sort; the 64-bit keys must keep every catalog frontier off it
+    calls = []
+    exact = _engine._unique_rows_exact
+    monkeypatch.setattr(_engine, "_unique_rows_exact",
+                        lambda arr: calls.append(arr.shape) or exact(arr))
+    for ring in BUILTIN_RING_NAMES:
+        for group in BUILTIN_GROUP_NAMES:
+            S = spanning_set(make(ring, group))
+            vanishes_left_normed(S, 4)
+            lie_vanishes_left_normed(S, 4)
+    for ring in ("M2F2", "H32", "T2F2"):
+        vanishes_left_normed(spanning_set(make(ring, "D4xD4")), 5)
+    assert calls == []
 
 
 # --- full-space oracle -------------------------------------------------------
