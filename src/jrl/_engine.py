@@ -97,12 +97,15 @@ def table_context(rg: GroupRing) -> TableContext:
     return cached
 
 
-def element_rows(ctx: TableContext) -> Tuple[np.ndarray, np.ndarray]:
-    """Every element of the group ring as a row, in id order, and the
-    base-|R| powers that encode a row as its id: id = row @ powers."""
-    powers = ctx.nr ** np.arange(ctx.ng, dtype=np.int64)
-    ids = np.arange(ctx.nr ** ctx.ng, dtype=np.int64)
-    return (ids[:, None] // powers % ctx.nr).astype(np.int16), powers
+def element_rows(ctx: TableContext) -> np.ndarray:
+    """Every element of the group ring as a row, in id order: coordinate x
+    of element id is its base-|R| digit x, so coordinate 0 runs fastest."""
+    nr, ng = ctx.nr, ctx.ng
+    rows = np.empty((nr ** ng, ng), dtype=np.int16)
+    values = np.arange(nr, dtype=np.int16)[:, None]
+    for x in range(ng):
+        rows.reshape(-1, nr, nr ** x, ng)[..., x] = values
+    return rows
 
 
 # The fold works through row blocks of at most _FOLD_CELLS cells.  Each
@@ -214,10 +217,10 @@ def rows_bracket(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return rows_add(ctx, rows_mul(ctx, A, B), rows_neg(ctx, rows_mul(ctx, B, A)))
 
 
-# product_with_row sums each coordinate plane a block of rows at a time,
-# so that its one term buffer stays within _TERM_BYTES: 2^16 int16 terms
-# for native addition, 2^14 8-byte row offsets for the addition-table
-# gather.
+# product_with_row sums its terms a block of rows at a time, so that its
+# one term buffer, every coordinate plane of the block's rows, stays within
+# _TERM_BYTES: 2^16 int16 terms for native addition, 2^14 8-byte row
+# offsets for the addition-table gather.
 _TERM_BYTES = 1 << 17
 
 
@@ -228,24 +231,24 @@ def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
 
     Pairwise, with no copy of either operand per pair.  The products of
     P's entries with every ring element are gathered once, as
-    left[g, i, r] = P[i, g] r and right[x, i, r] = r P[i, x] (negated
-    through rows_neg for the bracket).  Coordinate h of the (m, k) plane
-    of all pairs is then the sum over g of two column gathers,
-    left[g] at block[:, g^-1 h] and right[g^-1 h] at block[:, g]: the
-    2|G| terms of ab + ba (or ab - ba).  The terms are added by native
-    XOR, by native int16 addition reduced mod |R| once per plane (int32
-    when 2|G| (|R| - 1) overflows int16), or by gathers from the
-    flattened addition table at t |R| + sum.  The planes fill one
-    (|G|, m, k) buffer, returned as an (m, k, |G|) view, or (m, |G|) for
-    a 1-D brow.
+    left[g, i, r] = P[i, g] r and right[y, i, r] = r P[i, y] (negated
+    through rows_neg for the bracket).  Coordinate h of the pair (i, j) is
+    then the sum of left[g, i] at block[j, g^-1 h] over g and of right[y, i]
+    at block[j, h y^-1] over y: the 2|G| terms of ab + ba (or ab - ba).
+    Each g (and each y) is one column gather for every plane at once,
+    through an (|G|, k) index of block entries.  The terms are added by
+    native XOR, by native int16 addition reduced mod |R| once (int32 when
+    2|G| (|R| - 1) overflows int16), or by gathers from the flattened
+    addition table at t |R| + sum.  The sums fill one (m, |G|, k) buffer,
+    returned as an (m, k, |G|) view, or (m, |G|) for a 1-D brow.
     """
-    Q = np.atleast_2d(brow)
+    Q = brow if brow.ndim == 2 else brow[None]
     m, k, ng, nr = P.shape[0], Q.shape[0], ctx.ng, ctx.nr
     xor = ctx.add_is_xor
     mod = ctx.add_is_mod and not xor
     wide = mod and 2 * ng * (nr - 1) > _INT16_MAX
     left = ctx.rmul[P.T]                  # [g, i, r] = P[i, g] * r
-    right = ctx.rmul.T[P.T]               # [x, i, r] = r * P[i, x]
+    right = ctx.rmul.T[P.T]               # [y, i, r] = r * P[i, y]
     if op != "circle":
         right = rows_neg(ctx, right)
     if xor or mod:
@@ -255,41 +258,40 @@ def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
                    np.multiply(right, nr, dtype=np.intp))
         add = ctx.radd.ravel()
     QT = Q.T.astype(np.intp)              # [g] = entry g of every block row
-    out = np.empty((ng, m, k), dtype=np.int16)
+    # [g, h] = block entries g^-1 h for left[g]; [y, h] = h y^-1 for right[y]
+    at = (QT.take(ctx.left_shift, 0), QT.take(ctx.right_shift, 0))
+    out = np.empty((m, ng, k), dtype=np.int16)
     dtype = np.dtype(np.int16 if xor or mod else np.intp)
-    rows = max(1, _TERM_BYTES // (max(k, 1) * dtype.itemsize))
-    term = np.empty((min(m, rows), k), dtype=dtype)
+    rows = max(1, _TERM_BYTES // (max(ng * k, 1) * dtype.itemsize))
+    term = np.empty((min(m, rows), ng, k), dtype=dtype)
     total = np.empty_like(term, dtype=np.int32) if wide else None
     # Every index is in range, so take's mode="clip" changes no value; it
     # only spares numpy the copy of out that mode="raise" makes.
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        t = term[:hi - lo]
-        for h in range(ng):
-            plane = out[h, lo:hi]
-            acc = plane if total is None else total[:hi - lo]
-            x = ctx.ginv_cols[:, h]       # [g] = g^-1 h
-            steps = ([(sources[0][g, lo:hi], QT[x[g]]) for g in range(ng)]
-                     + [(sources[1][x[g], lo:hi], QT[g]) for g in range(ng)])
-            if wide:
-                acc.fill(0)
-            else:                         # the first term, unscaled, into acc
-                left[0, lo:hi].take(QT[x[0]], 1, acc, "clip")
-                steps = steps[1:]
-            for src, at in steps:
-                src.take(at, 1, t, "clip")
-                if xor:
-                    np.bitwise_xor(acc, t, out=acc)
-                elif mod:
-                    np.add(acc, t, out=acc)
-                else:
-                    np.add(t, acc, out=t)
-                    add.take(t, None, acc, "clip")
-            if mod and nr & (nr - 1):
-                np.remainder(acc, nr, out=plane, casting="unsafe")
+        t, block = term[:hi - lo], out[lo:hi]
+        acc = block if total is None else total[:hi - lo]
+        steps = [(side[g, lo:hi], cols[g]) for side, cols in zip(sources, at)
+                 for g in range(ng)]
+        if wide:
+            acc.fill(0)
+        else:                             # the first term, unscaled, into acc
+            left[0, lo:hi].take(at[0][0], 1, acc, "clip")
+            steps = steps[1:]
+        for src, cols in steps:
+            src.take(cols, 1, t, "clip")
+            if xor:
+                np.bitwise_xor(acc, t, out=acc)
             elif mod:
-                np.bitwise_and(acc, nr - 1, out=plane, casting="unsafe")
-    prod = out.transpose(1, 2, 0)
+                np.add(acc, t, out=acc)
+            else:
+                np.add(t, acc, out=t)
+                add.take(t, None, acc, "clip")
+        if mod and nr & (nr - 1):
+            np.remainder(acc, nr, out=block, casting="unsafe")
+        elif mod:
+            np.bitwise_and(acc, nr - 1, out=block, casting="unsafe")
+    prod = out.transpose(0, 2, 1)
     return prod if brow.ndim == 2 else prod[:, 0, :]
 
 

@@ -171,7 +171,7 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
     will_sample = sum(math.prod(s) > EXHAUSTIVE_CELL_LIMIT for s in shapes)
     if will_sample:
         samples = max(samples, -(-MIN_SAMPLED_AGGREGATE // will_sample))
-    rows = _engine.element_rows(ctx)[0] if rg.size <= EXHAUSTIVE_CELL_LIMIT else None
+    rows = _engine.element_rows(ctx) if rg.size <= EXHAUSTIVE_CELL_LIMIT else None
 
     checks: List[IdentityCheck] = []
     for (name, dims, salt, test), shape in zip(table, shapes):

@@ -4,8 +4,11 @@ The main oracle reduces "every left-normed circle product of degree n
 vanishes" to the same statement over spanning monomials (additive ring
 generators times group elements); the circle product is additive in each
 slot, so the two statements agree.  exhaustive_check decides the same
-question over the full element space with no such reduction and is the
-independent witness the reduction is tested against.
+question over the full element space and is the independent witness the
+reduction is tested against: its circle table only regroups each
+product's defining sum by coordinate, which uses that addition is
+commutative and associative with 0 as identity and that 0 annihilates,
+and no distributivity or additivity in a slot.
 """
 
 from __future__ import annotations
@@ -182,57 +185,116 @@ def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
 # full-space oracle
 # ---------------------------------------------------------------------------
 
-# Cells (products times |G|) computed at once for the circle table: a
-# batch of `step` rows against at most `size` columns fills one
-# (|G|, step, size) int16 buffer of at most this many cells, and
-# product_with_row's term buffer adds at most _engine._TERM_BYTES.  At 2^17
-# a 4096-element context takes at most 512 calls and its transient buffers
-# stay under half a megabyte next to its 32 MB table; at 2^18 the peak RSS
-# of a pass over the 27 contexts of at most 4096 elements rose by 0.6 MB.
-_TABLE_BATCH_CELLS = 1 << 17
+# Bytes of buffers that one batch of circle-table rows may hold; a row
+# takes at most _table_row_bytes of them.  At 2^19 a 4096-element context
+# fills its 32 MB table in 133 to 216 batches, and a build's transient
+# memory stays under 0.7 MB.  Those builds took 1.2-1.5 times as long at
+# 2^18, and no less at 2^20.
+_TABLE_BATCH_BYTES = 1 << 19
 
 # Table rows marked per step of the exhaustive level walk.
 _LEVEL_BLOCK_ROWS = 16
 
 
-def _full_circle_table(rg: GroupRing) -> Tuple[np.ndarray, int]:
-    """Pairwise circle products over every element of the context, as a
-    (size, size) table of element ids.  Cached on the context; built from
-    the coordinates of each pair of actual elements through the ring's own
-    tables, a batch of rows at a time, with no spanning or additivity
-    shortcut.
+def _table_row_bytes(ctx: _engine.TableContext) -> int:
+    """A table row's share of a batch's buffers, at most: in int16, one
+    full-row plane, the earlier steps of its outer sum (half a row at
+    most) and, when addition is the table's, the rows gathered from it;
+    and per plane and monomial, product_with_row's output, plus the
+    gather's intp row indices."""
+    gather = not (ctx.add_is_xor or ctx.add_is_mod)
+    per_plane_monomial = 10 if gather else 2
+    return 2 * ctx.nr ** ctx.ng * (3 if gather else 2) + ctx.ng ** 2 * ctx.nr * per_plane_monomial
 
-    Each unordered pair is computed once: a batch of rows [lo, hi) is
-    product_with_row's gathered operand, against the columns [0, hi), and
-    fills table[lo:hi, :hi]; the batch's columns above it,
-    table[:lo, lo:hi], are the transpose of table[lo:hi, :lo].  That mirror
-    is exact because a o b = ab + ba and b o a = ba + ab are equal whenever
-    addition commutes, which FiniteRing checks of every addition table it
-    accepts.  Ids are encoded plane by plane in int16 (Horner over the
-    coordinates); every id is below size <= EXHAUSTIVE_CAP."""
-    cached = getattr(rg, "_full_circle", None)
+
+def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
+    """Pairwise circle products over every element of the context, as a
+    (size, size) table of element ids, and the id of zero.  Cached on the
+    context; a bare ring caches its own, arrays only, so no cycle.
+
+    Plane h of a o b is the sum over x in G of a_{h x^-1} b_x + b_x a_{x^-1 h},
+    and the two terms that hold b_x are plane h of a o (b_x x), the product
+    with the monomial b_x x.  So one product_with_row call per batch of
+    rows, against the |R| |G| monomials v x, gives every term the batch
+    needs.  The columns are the elements in id order, coordinate 0
+    fastest, so each plane of the batch's full rows is an outer sum built
+    one coordinate at a time, the new coordinate on the outer axis so that
+    numpy's inner loop grows to the row length.  The sums are native XOR;
+    native int16 addition reduced mod |R| once per plane (no overflow, as
+    |G| (|R| - 1) < size <= EXHAUSTIVE_CAP); or, through the addition
+    table, its rows at the running sum's entries, of which each new
+    coordinate value picks one.  Ids are encoded plane by plane in int16
+    (Horner over the coordinates).
+
+    Each entry's defining sum is only regrouped by the coordinate of b,
+    which uses that + is commutative and associative; the monomials' other
+    terms are products with 0, which vanish as 0 annihilates and is the
+    additive identity.  FiniteRing checks all four of every ring it
+    accepts.  No distributivity and no additivity in a slot is used.
+    """
+    cached = getattr(context, "_full_circle", None)
     if cached is not None:
         return cached
-    ctx = _engine.table_context(rg)
-    size, nr, ng = rg.size, ctx.nr, ctx.ng
-    rows, powers = _engine.element_rows(ctx)
+    ctx = _table_context(context)
+    nr, ng = ctx.nr, ctx.ng
+    size = nr ** ng
+    xor, mod = ctx.add_is_xor, ctx.add_is_mod and not ctx.add_is_xor
+    rows = _engine.element_rows(ctx)
+    monos = np.empty((ng, nr, ng), dtype=np.int16)    # [x, v] = v x
+    monos.fill(ctx.rzero)
+    values = np.arange(nr, dtype=np.int16)
+    for x in range(ng):
+        monos[x, :, x] = values
     table = np.empty((size, size), dtype=np.int16)
-    step = max(1, _TABLE_BATCH_CELLS // (size * ng))
+    step = max(1, _TABLE_BATCH_BYTES // _table_row_bytes(ctx))
+    m = min(step, size)
+    # a plane below the top one; the earlier steps of a plane's outer sum
+    # (a step that reads the buffer it writes gets a copy of its input
+    # from numpy); and the addition table's rows at a running sum
+    last = np.empty(m * size, dtype=np.int16) if ng > 1 else None
+    early = np.empty(m * size // nr, dtype=np.int16) if ng > 2 else None
+    sums = None if xor or mod or ng == 1 else np.empty(m * size, dtype=np.int16)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
-        prod = _engine.product_with_row(ctx, rows[lo:hi], rows[:hi], "circle")
-        ids = table[lo:hi, :hi]
-        np.copyto(ids, prod[..., ng - 1])
-        for h in range(ng - 2, -1, -1):
-            ids *= nr
-            ids += prod[..., h]
-        table[:lo, lo:hi] = table[lo:hi, :lo].T
-    zero_id = int(np.full(ng, ctx.rzero, dtype=np.int64) @ powers)
-    rg._full_circle = (table, zero_id)
+        n = hi - lo
+        prod = _engine.product_with_row(ctx, rows[lo:hi], monos.reshape(-1, ng), "circle")
+        terms = prod.transpose(0, 2, 1).reshape(n, ng, ng, nr)     # [i, h, x, v]
+        if sums is not None:            # [i, h, x, v] = row v n + i of the sums
+            pick = np.multiply(terms, n, dtype=np.intp)
+            pick += np.arange(n)[:, None, None, None]
+        ids = table[lo:hi]
+        lower = last[:n * size].reshape(n, size) if ng > 1 else None
+        early_out = [early[:n * nr ** (x + 1)].reshape(n, nr, -1) for x in range(1, ng - 1)]
+        for h in range(ng - 1, -1, -1):
+            plane = ids if h == ng - 1 else lower
+            coords = terms[:, h]
+            total = coords[:, 0]
+            for x in range(1, ng):
+                out = early_out[x - 1] if x < ng - 1 else plane.reshape(n, nr, -1)
+                if xor:
+                    np.bitwise_xor(coords[:, x, :, None], total[:, None], out=out)
+                elif mod:
+                    np.add(coords[:, x, :, None], total[:, None], out=out)
+                else:                   # [u, i, w] = u + total[i, w]; pick u = v
+                    rows_at = sums[:out.size].reshape(nr, n, -1)
+                    ctx.radd.take(total, 1, rows_at, "clip")
+                    rows_at.reshape(nr * n, -1).take(pick[:, h, x], 0, out, "clip")
+                total = out.reshape(n, -1)
+            if ng == 1:
+                plane[...] = total
+            elif mod and nr & (nr - 1):
+                np.remainder(plane, nr, out=plane)
+            elif mod:
+                np.bitwise_and(plane, nr - 1, out=plane)
+            if h < ng - 1:
+                ids *= nr
+                ids += plane
+    zero_id = ctx.rzero * sum(nr ** h for h in range(ng))
+    context._full_circle = (table, zero_id)
     return table, zero_id
 
 
-def _exhaustive_levels(rg: GroupRing, n: int) -> List[np.ndarray]:
+def _exhaustive_levels(context: Context, n: int) -> List[np.ndarray]:
     """The nonzero degree-k values of left-normed circle products over all
     elements, as increasing element ids, for k = 2..n; stops after the
     first empty set.
@@ -244,13 +306,14 @@ def _exhaustive_levels(rg: GroupRing, n: int) -> List[np.ndarray]:
     of length size, a block of table rows at a time, clears zero and reads
     the marked ids back.
     """
-    table, zero_id = _full_circle_table(rg)
-    levels = getattr(rg, "_circle_levels", None)
+    table, zero_id = _full_circle_table(context)
+    size = table.shape[0]
+    levels = getattr(context, "_circle_levels", None)
     if levels is None:
-        levels = rg._circle_levels = []
+        levels = context._circle_levels = []
     while len(levels) < n - 1 and (not levels or levels[-1].size):
-        values = levels[-1] if levels else np.flatnonzero(np.arange(rg.size) != zero_id)
-        seen = np.zeros(rg.size, dtype=bool)
+        values = levels[-1] if levels else np.flatnonzero(np.arange(size) != zero_id)
+        seen = np.zeros(size, dtype=bool)
         for lo in range(0, values.size, _LEVEL_BLOCK_ROWS):
             seen[table[values[lo:lo + _LEVEL_BLOCK_ROWS]]] = True
         seen[zero_id] = False
@@ -264,18 +327,22 @@ def exhaustive_check(context: Context, n: int) -> bool:
     """Brute-force decision over all n-tuples of actual elements.
 
     Walks the set of degree-k partial values instead of materialising the
-    tuple list; that set is exact (no linearity is assumed anywhere), so
-    the verdict equals the literal nested loop.  Each level's set is a
-    membership mask over every element id, and the sets are cached on the
-    context (see _exhaustive_levels).
+    tuple list; that set is exact, so the verdict equals the literal nested
+    loop.  The circle table behind it regroups each product's defining sum
+    by coordinate, which uses only that addition is commutative and
+    associative with 0 as its identity and that 0 annihilates; it assumes
+    no distributivity and no additivity in a slot, so it is independent of
+    the spanning reduction.  Each level's set is a membership mask over
+    every element id, and the sets are cached on the context, a bare ring
+    included (see _exhaustive_levels).
     Contexts above EXHAUSTIVE_CAP elements are refused.
     """
     _check_degree(n)
-    rg = _as_group_ring(context)
-    if rg.size > EXHAUSTIVE_CAP:
+    size = context.size if isinstance(context, GroupRing) else context.order
+    if size > EXHAUSTIVE_CAP:
         raise TooLarge(
-            f"{rg.name} has {rg.size} elements, cap is {EXHAUSTIVE_CAP}")
-    *_, last = _exhaustive_levels(rg, n)
+            f"{context.name} has {size} elements, cap is {EXHAUSTIVE_CAP}")
+    *_, last = _exhaustive_levels(context, n)
     return last.size == 0
 
 

@@ -34,3 +34,10 @@ def scalar_plus_strict_upper_4x4_gf2() -> FiniteRing:
         )
 
     return _ring_from_model("U4F2", elements, add, mul, unpack(0), unpack(1))
+
+
+def relabelled_z4() -> FiniteRing:
+    """Z/4 with its elements listed as 0, 1, 3, 2, so that its addition
+    table is neither XOR nor addition mod 4 on indices."""
+    return _ring_from_model("Z4'", [0, 1, 3, 2], lambda a, b: (a + b) % 4,
+                            lambda a, b: a * b % 4, 0, 1)

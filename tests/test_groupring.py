@@ -424,7 +424,7 @@ def test_product_with_row_across_row_blocks(monkeypatch, ring, group, op):
     ctx = table_context(rg)
     k = 5
     itemsize = 2 if ctx.add_is_xor or ctx.add_is_mod else np.dtype(np.intp).itemsize
-    monkeypatch.setattr(eng, "_TERM_BYTES", 3 * k * itemsize)
+    monkeypatch.setattr(eng, "_TERM_BYTES", 3 * rg.group.order * k * itemsize)
     P, _ = rows_and_elements(rg, 7, seed=71)
     block, _ = rows_and_elements(rg, k, seed=72)
     check_product_with_row(ctx, P, block, op)

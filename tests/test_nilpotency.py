@@ -6,6 +6,9 @@ the scalar arithmetic, so they independently witness both the verdict
 and the choice of first counterexample.
 """
 
+import gc
+import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -26,9 +29,9 @@ from jrl.nilpotency import (
     spanning_set,
     vanishes_left_normed,
 )
-from jrl.rings import BUILTIN_RING_NAMES, FiniteRing, builtin_ring
+from jrl.rings import BUILTIN_RING_NAMES, FiniteRing, builtin_ring, zmod_ring
 
-from support_rings import scalar_plus_strict_upper_4x4_gf2
+from support_rings import relabelled_z4, scalar_plus_strict_upper_4x4_gf2
 
 
 def make(ring, group):
@@ -279,28 +282,51 @@ def test_exhaustive_check_agrees_with_spanning_decision():
 
 
 # Z2[S3] is the non-abelian one: g^-1 h differs from h g^-1 there, so a
-# convolution index taken the wrong way round shows.
+# convolution index taken the wrong way round shows.  Z6[C2] reduces its
+# plane sums by np.remainder (an order that is not a power of two).
 TABLE_CONTEXTS = [("Z2", "C2", "xor"), ("Z4", "C2", "mod"),
                   ("T2Z4", "C1", "table"), ("H32", "C1", "table"),
-                  ("Z2", "S3", "xor")]
+                  ("Z2", "S3", "xor"), ("Z6", "C2", "mod")]
 
 
-# Columns per batch: three puts most columns next to a batch edge, five
-# does not divide any of the sizes so the last batch is partial, and None
-# keeps the default batch.
-@pytest.mark.parametrize("ring,group,kind,columns", [
-    pytest.param(*ctx, columns, id="-".join(ctx[:3]) + suffix)
-    for ctx in TABLE_CONTEXTS
-    for columns, suffix in ((3, ""), (5, "-5cols"), (None, "-default"))
-])
-def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind, columns):
-    rg = make(ring, group)
+EXTRA_RINGS = {"Z3": lambda: zmod_ring(3), "Z6": lambda: zmod_ring(6), "Z4'": relabelled_z4}
+
+
+def make_any(ring, group):
+    R = EXTRA_RINGS[ring]() if ring in EXTRA_RINGS else builtin_ring(ring)
+    return GroupRing(R, builtin_group(group))
+
+
+def spy_product_with_row(monkeypatch):
+    """A list that gets the row count of every later product_with_row call."""
+    calls = []
+    real = _engine.product_with_row
+
+    def spy(ctx, P, block, op):
+        calls.append(P.shape[0])
+        return real(ctx, P, block, op)
+
+    monkeypatch.setattr(_engine, "product_with_row", spy)
+    return calls
+
+
+def batch_table(monkeypatch, rg, rows):
+    """The circle table built in batches of `rows` rows (None: the default
+    batch), checking that every batch is one product_with_row call."""
     ctx = _engine.table_context(rg)
-    assert kind == ("xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table")
-    if columns is not None:
-        monkeypatch.setattr(nilpotency, "_TABLE_BATCH_CELLS", columns * rg.size * ctx.ng)
+    if rows is not None:
+        monkeypatch.setattr(nilpotency, "_TABLE_BATCH_BYTES",
+                            rows * nilpotency._table_row_bytes(ctx))
+    step = nilpotency._TABLE_BATCH_BYTES // nilpotency._table_row_bytes(ctx)
+    calls = spy_product_with_row(monkeypatch)
     table, zero_id = nilpotency._full_circle_table(rg)
-    nr, ng = ctx.nr, ctx.ng
+    assert calls == [min(step, rg.size - lo) for lo in range(0, rg.size, step)]
+    return table, zero_id
+
+
+def scalar_ids(rg):
+    """Element i of rg by its base-|R| digits, and the id of an element."""
+    nr, ng = rg.ring.order, rg.group.order
 
     def element(i):
         return rg.element([(i // nr ** g) % nr for g in range(ng)])
@@ -308,11 +334,69 @@ def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind,
     def element_id(e):
         return sum(c * nr ** g for g, c in enumerate(e.coeffs))
 
+    return element, element_id
+
+
+# Row batches: three puts most rows next to a batch edge, five divides
+# none of the sizes, so the last batch is partial, and None keeps the
+# default batch.  The ids ending -5cols name the batch of five rows.
+@pytest.mark.parametrize("ring,group,kind,rows", [
+    pytest.param(*ctx, rows, id="-".join(ctx[:3]) + suffix)
+    for ctx in TABLE_CONTEXTS
+    for rows, suffix in ((3, ""), (5, "-5cols"), (None, "-default"))
+])
+def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind, rows):
+    rg = make_any(ring, group)
+    ctx = _engine.table_context(rg)
+    assert kind == ("xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table")
+    table, zero_id = batch_table(monkeypatch, rg, rows)
+    element, element_id = scalar_ids(rg)
     els = [element(i) for i in range(rg.size)]
     assert zero_id == element_id(rg.zero())
     for a in range(rg.size):
         for b in range(rg.size):
             assert table[a, b] == element_id(circle(els[a], els[b]))
+
+
+# T2Z4[C2] sums through the addition table with a coordinate step (|G| = 2);
+# Z3[S3] reduces by np.remainder, in an odd radix, over a non-abelian group,
+# with five outer-sum steps per plane; Z4'[C2xC2] sums through the addition
+# table in three steps per plane, two of them into the buffer of earlier steps.
+# Too large for a full compare, each is checked on seeded pairs and a few
+# whole rows.
+@pytest.mark.parametrize("ring,group,kind,rows", [
+    ("T2Z4", "C2", "table", None), ("T2Z4", "C2", "table", 7),
+    ("Z3", "S3", "mod", None), ("Z3", "S3", "mod", 5),
+    ("Z4'", "C2xC2", "table", None), ("Z4'", "C2xC2", "table", 5),
+])
+def test_full_circle_table_sampled_against_scalar_circle(monkeypatch, ring, group, kind, rows):
+    rg = make_any(ring, group)
+    ctx = _engine.table_context(rg)
+    assert kind == ("xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table")
+    table, zero_id = batch_table(monkeypatch, rg, rows)
+    element, element_id = scalar_ids(rg)
+    assert zero_id == element_id(rg.zero())
+    rng = np.random.default_rng(97)
+    pairs = rng.integers(0, rg.size, size=(400, 2)).tolist()
+    for a in (0, 1, rg.size - 1) + tuple(rng.integers(0, rg.size, size=2).tolist()):
+        pairs += [(a, b) for b in range(rg.size)]
+    for a, b in pairs:
+        assert table[a, b] == element_id(circle(element(a), element(b))), (a, b)
+
+
+@pytest.mark.parametrize("ring,group", [("T2Z4", "C2"), ("Z8", "C4")])
+def test_full_circle_table_transient_memory(ring, group):
+    # one build of a 4096-element table holds at most 1 MB next to the
+    # 32 MB table itself
+    rg = make(ring, group)
+    tracemalloc.start()
+    try:
+        table, _ = nilpotency._full_circle_table(rg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 32 << 20
+    assert peak - table.nbytes <= 1 << 20, peak - table.nbytes
 
 
 def unique_level_walk(rg, n):
@@ -360,6 +444,31 @@ def test_exhaustive_check_accepts_bare_rings():
     assert exhaustive_check(builtin_ring("Z4"), 3)
     assert not exhaustive_check(builtin_ring("Z4"), 2)
     assert exhaustive_check(builtin_ring("Z2"), 2)
+
+
+def test_bare_ring_builds_its_table_once(monkeypatch):
+    # three degrees on one bare ring: one table build, one batch of rows.
+    # A fresh copy of T2Z4, since the built-in one is shared by every test.
+    want = [exhaustive_check(make("T2Z4", "C1"), n) for n in (2, 3, 4)]
+    calls = spy_product_with_row(monkeypatch)
+    R = builtin_ring("T2Z4")
+    T = FiniteRing("T2Z4'", R.add_table, R.mul_table, R.zero, R.one)
+    assert [exhaustive_check(T, n) for n in (2, 3, 4)] == want
+    assert calls == [R.order]
+
+
+def test_bare_ring_dies_after_an_exhaustive_check():
+    # the ring caches its table and levels; they must not hold the ring
+    R = zmod_ring(4)
+    ring = weakref.ref(R)
+    gc.disable()
+    try:
+        assert exhaustive_check(R, 3) and not exhaustive_check(R, 2)
+        assert R._full_circle is not None and R._circle_levels
+        del R
+        assert ring() is None
+    finally:
+        gc.enable()
 
 
 def test_exhaustive_check_refuses_huge_contexts():
