@@ -19,7 +19,7 @@ levels, zero rows are found a word at a time and equal rows merged by
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -65,6 +65,36 @@ class TableContext:
         self.right_shift = self.gmul[:, self.ginv].T.astype(np.intp)
         self.left_shift = self.ginv_cols.astype(np.intp)
         self.last_plan = None   # (key, _MonomialPlan) of the last kernel call
+
+    @cached_property
+    def fields(self):
+        """Orders of the additive fields that ids pack, lowest bits first:
+        (|R|,) under addition mod |R|, else fields of 2^w ids if the whole
+        addition table is field-wise addition (every built-in ring)."""
+        if self.add_is_mod:
+            return (self.nr,)
+        bits = np.arange(self.nr.bit_length() - 1)
+        top = self.radd[1 << bits, 1 << bits] == 0     # u + u = 0: u tops its field
+        ids, high = np.arange(self.nr), int(np.sum(top << bits))
+        low = ids & (self.nr - 1 - high)   # low bits add, carrying into the top bit
+        if np.array_equal(self.radd, (low[:, None] + low) ^ ((ids[:, None] ^ ids) & high)):
+            return tuple(1 << int(w) for w in np.diff(np.flatnonzero(top), prepend=-1))
+        return None
+
+    @cached_property
+    def slots(self):
+        """The fold's native sum: products as a flat table with each field in
+        a slot of an int16 (else int32) word wide enough for |G| terms, and
+        per field (shift, mask) back into an id; None if int32 is too narrow."""
+        if self.fields is None:
+            return None
+        prods, spread, unpack, shift, base = self.rmul.ravel().astype(np.int64), 0, [], 0, 1
+        for m in self.fields:
+            spread = spread + (prods // base % m << shift)
+            unpack.append((shift - base.bit_length() + 1, (m - 1) * base))
+            shift, base = shift + (self.ng * (m - 1)).bit_length(), base * m
+        return None if shift > 31 else (
+            spread.astype(np.int16 if shift <= 15 else np.int32), unpack)
 
     def mono_rows(self, rs: np.ndarray, gs: np.ndarray) -> np.ndarray:
         """The monomials rs[i]*gs[i] as rows (coefficient arrays)."""
@@ -116,12 +146,12 @@ def element_rows(ctx: TableContext) -> np.ndarray:
 # group element of each block writes into them through out=: no array is
 # allocated per term, whatever the allocator's state.  (Fresh per-term
 # arrays the size of the output each became a new zero-filled mapping under
-# a fixed glibc mmap threshold.)  The sum is native XOR; native int16
-# addition, reduced mod |R| once per block (int32 only when |G| (|R| - 1)
-# overflows int16); or a gather from the flattened addition table at
-# t |R| + sum, which commutativity of addition allows, so each term t |R|
-# comes straight from rmul_scaled.  Each block's last ufunc writes the
-# transposed sum into the C-contiguous output.
+# a fixed glibc mmap threshold.)  The sum is one of three: native XOR; the
+# native sum of a ring's fields, each in its own slot of the total (see
+# TableContext.slots), decoded once per block; or a gather from the
+# flattened addition table at t |R| + sum, which commutativity of addition
+# allows, so each term t |R| comes straight from rmul_scaled.  Each block's
+# last ufunc writes its sums, transposed, into the C-contiguous output.
 _FOLD_CELLS = 1 << 15
 _INT16_MAX = int(np.iinfo(np.int16).max)
 
@@ -132,18 +162,18 @@ def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarra
     # value; it only spares numpy the copy of out that mode="raise" makes.
     n, ng, nr = A.shape[0], ctx.ng, ctx.nr
     mul, add, cols = ctx.rmul.ravel(), ctx.radd.ravel(), ctx.ginv_cols
-    mul_scaled = ctx.rmul_scaled
     xor = ctx.add_is_xor
-    mod = ctx.add_is_mod and not xor
-    wide = mod and ng * (nr - 1) > _INT16_MAX
+    native = None if xor else ctx.slots
+    first = mul if native is None else native[0]      # the g = 0 term's table
+    terms = ctx.rmul_scaled if native is None and not xor else first
     out = np.empty((n, ng), dtype=np.int16)
     rows = max(1, _FOLD_CELLS // ng)
     m = min(n, rows)
     scaled = np.empty((ng, m), dtype=np.intp)
     right = np.empty((ng, m), dtype=np.intp)
     index = np.empty((ng, m), dtype=np.intp)
-    term = np.empty((ng, m), dtype=np.int16 if xor or mod else np.intp)
-    total = np.empty((ng, m), dtype=np.int32 if wide else np.int16)
+    term = np.empty((ng, m), dtype=terms.dtype)
+    total = np.empty((ng, m), dtype=first.dtype)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         if hi - lo < m:  # a partial last block, on the buffers' contiguous heads
@@ -152,32 +182,33 @@ def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarra
                 for buf in (scaled, right, index, term, total))
         np.multiply(A[lo:hi].T, nr, out=scaled, dtype=np.intp)
         np.copyto(right, B[lo:hi].T)
-        if wide:
-            total.fill(0)
         for g in range(ng):
             right.take(cols[g], 0, index, "clip")
             np.add(index, scaled[g], out=index)
-            if g == 0 and not wide:
-                mul.take(index, None, total, "clip")
-            elif xor:
-                mul.take(index, None, term, "clip")
+            if g == 0:
+                first.take(index, None, total, "clip")
+                continue
+            terms.take(index, None, term, "clip")
+            if xor:
                 np.bitwise_xor(total, term, out=total)
-            elif mod:
-                mul.take(index, None, term, "clip")
+            elif native is not None:
                 np.add(total, term, out=total)
             else:
-                mul_scaled.take(index, None, term, "clip")
                 np.add(term, total, out=index)
                 add.take(index, None, total, "clip")
         # a ufunc walks the block's long rows; copyto would walk the
         # output's rows of |G| entries, about twice as slow at small |G|
         block = out[lo:hi].T
-        if not mod:
+        if native is None:
             np.positive(total, out=block)
-        elif nr & (nr - 1):
+        elif nr & (nr - 1):                           # one field, mod |R|
             np.remainder(total, nr, out=block, casting="unsafe")
         else:
-            np.bitwise_and(total, nr - 1, out=block, casting="unsafe")
+            np.bitwise_and(total, ctx.fields[0] - 1, out=block, casting="unsafe")
+            for shift, mask in native[1][1:]:
+                np.right_shift(total, shift, out=index)
+                np.bitwise_and(index, mask, out=index)
+                np.bitwise_or(block, index, out=block, casting="unsafe")
     return out
 
 
@@ -187,16 +218,21 @@ def rows_mul(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def rows_add(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Entrywise ring sum, by native XOR or mod-order addition when the
-    addition table is one of those, else by the table itself."""
+    """Entrywise ring sum: native XOR, the native sum of fields packed in
+    2^w ids, else the addition table itself."""
     if ctx.add_is_xor:
         return A ^ B
-    if ctx.add_is_mod:
-        # unsigned, so the sum of two ids below 2^15 cannot wrap
-        total = np.add(A, B, dtype=np.uint16, casting="unsafe")
-        total %= ctx.nr
-        return total.view(np.int16)
-    return ctx.radd[A, B]
+    if ctx.fields is None or ctx.nr & (ctx.nr - 1):
+        return ctx.radd[A, B]
+    if len(ctx.fields) == 1:           # addition mod 2^w
+        total = A + B
+        total &= ctx.nr - 1
+        return total
+    high = int(np.cumprod(ctx.fields).sum()) // 2   # the top bit of every field
+    total = A & (ctx.nr - 1 - high)    # low bits add, carrying into the top bits
+    total += B & (ctx.nr - 1 - high)
+    total ^= (A ^ B) & high
+    return total
 
 
 def rows_neg(ctx: TableContext, A: np.ndarray) -> np.ndarray:
@@ -205,7 +241,7 @@ def rows_neg(ctx: TableContext, A: np.ndarray) -> np.ndarray:
     if ctx.add_is_xor:
         return A
     if ctx.add_is_mod:
-        return -A % ctx.nr
+        return -A % ctx.nr if ctx.nr & (ctx.nr - 1) else -A & (ctx.nr - 1)
     return ctx.rneg[A]
 
 

@@ -7,7 +7,10 @@ sides of the identity for a batch of tuples.  One rule runs every row: a
 domain of at most EXHAUSTIVE_CELL_LIMIT tuples is enumerated, a larger one
 is sampled with a generator seeded by seed + offset, so runs are
 reproducible, and the sampled checks together see at least
-MIN_SAMPLED_AGGREGATE tuples.
+MIN_SAMPLED_AGGREGATE tuples.  Element checks take rows, or element ids
+where every pair of elements can be enumerated (see _element_ids).  A
+check's ms runs from the end of the one before, so set-up is charged to the
+first check and the id tables to the first element check.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
+from types import SimpleNamespace
 from typing import List
 
 import numpy as np
@@ -43,15 +47,44 @@ class IdentityCheck:
         return self.failures == 0
 
 
-def check_table(rg: GroupRing) -> tuple:
+def _element_ids(ctx: _engine.TableContext) -> SimpleNamespace:
+    """Element arithmetic on ids (element_rows' order) through tables that
+    rows_mul and rows_add fill over all pairs and rows_neg over all elements,
+    at first use: the kernels are pure per row, so each tuple gets the very
+    two sides that rows would give it."""
+    n, weights = ctx.nr ** ctx.ng, ctx.nr ** np.arange(ctx.ng)
+
+    @cache
+    def tables():                      # product, sum, negation, circle, bracket
+        rows, k = _engine.element_rows(ctx), max(1, _MONO_CHUNK // n)
+        mul, add = np.empty((n, n), np.int32), np.empty((n, n), np.int32)
+        for lo in range(0, n, k):      # k first elements at a time
+            a, b = rows[lo:lo + k].repeat(n, 0), np.tile(rows, (min(k, n - lo), 1))
+            mul[lo:lo + k].flat = _engine.rows_mul(ctx, a, b) @ weights
+            add[lo:lo + k].flat = _engine.rows_add(ctx, a, b) @ weights
+        neg = (_engine.rows_neg(ctx, rows) @ weights).astype(np.int32)
+        return mul, add, neg, add[mul, mul.T], add[mul, neg[mul.T]]
+
+    def op(i):                         # a n + b < n^2 <= EXHAUSTIVE_CELL_LIMIT fits int32
+        return lambda a, b: tables()[i].take(a * n + b)
+    return SimpleNamespace(mul=op(0), add=op(1), neg=lambda a: tables()[2].take(a),
+                           circle=op(3), bracket=op(4), tables=tables,
+                           zero=np.full(ctx.ng, ctx.rzero) @ weights,
+                           encode=lambda rows: rows @ weights)
+
+
+def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tuple:
     """The suite's rows, (name, domain, seed offset, test): a test maps one
-    coordinate array per domain entry to both sides of its identity."""
+    coordinate array per domain entry to both sides of its identity.  The
+    element checks take rows, or ids when element_ids is given."""
     ctx = _engine.table_context(rg)
     ng, nr, rzero, one = ctx.ng, ctx.nr, ctx.rzero, rg.ring.one
     radd, rmul, rneg = ctx.radd, ctx.rmul, ctx.rneg
     add, neg, mul, circle, bracket = (partial(f, ctx) for f in (
         _engine.rows_add, _engine.rows_neg, _engine.rows_mul, _engine.rows_circle,
         _engine.rows_bracket))
+    el = element_ids or SimpleNamespace(add=add, neg=neg, mul=mul, circle=circle,
+                                        bracket=bracket, zero=rzero)
 
     gmul, inv = ctx.gmul.astype(np.intp), ctx.ginv.astype(np.intp)
     ids = np.arange(ng)
@@ -120,27 +153,27 @@ def check_table(rg: GroupRing) -> tuple:
         return probe(mono_circle(r, x, s, y, yx), rhs)
 
     def circle_commutative(A, B):
-        ab, ba = mul(A, B), mul(B, A)
-        return add(ab, ba), add(ba, ab)
+        ab, ba = el.mul(A, B), el.mul(B, A)
+        return el.add(ab, ba), el.add(ba, ab)
 
     def jordan(A, B):                  # (a^2 o b) o a = a^2 o (b o a), a^2 = a o a
-        aa = mul(A, A)                 # a o a = aa + aa, from one product
-        sq = add(aa, aa)
-        return circle(circle(sq, B), A), circle(sq, circle(B, A))
+        aa = el.mul(A, A)              # a o a = aa + aa, from one product
+        sq = el.add(aa, aa)
+        return el.circle(el.circle(sq, B), A), el.circle(sq, el.circle(B, A))
 
     def bracket_alternating(A):        # [a, a] = 0
-        sq = mul(A, A)
-        return add(sq, neg(sq)), rzero
+        sq = el.mul(A, A)
+        return el.add(sq, el.neg(sq)), el.zero
 
     def jacobi(A, B, C):
-        return add(bracket(bracket(A, B), C),
-                   add(bracket(bracket(B, C), A), bracket(bracket(C, A), B))), rzero
+        br = el.bracket
+        return el.add(br(br(A, B), C), el.add(br(br(B, C), A), br(br(C, A), B))), el.zero
 
     def circle_additive(A, B, C):
-        return circle(add(A, B), C), add(circle(A, C), circle(B, C))
+        return el.circle(el.add(A, B), C), el.add(el.circle(A, C), el.circle(B, C))
 
     def bracket_additive(A, B, C):
-        return bracket(add(A, B), C), add(bracket(A, C), bracket(B, C))
+        return el.bracket(el.add(A, B), C), el.add(el.bracket(A, C), el.bracket(B, C))
 
     E = _ELEMENT
     return (  # name, domain, seed offset, test
@@ -163,39 +196,42 @@ def check_table(rg: GroupRing) -> tuple:
 def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
                        seed: int = 0) -> List[IdentityCheck]:
     """Run every identity check against one context and report each one."""
-    ctx, table = _engine.table_context(rg), check_table(rg)
-    ng, nr, E = ctx.ng, ctx.nr, _ELEMENT
+    start = time.perf_counter()
+    ctx = _engine.table_context(rg)
+    ids = _element_ids(ctx) if rg.size ** 2 <= EXHAUSTIVE_CELL_LIMIT else None
+    table, ng, nr, E = check_table(rg, ids), ctx.ng, ctx.nr, _ELEMENT
     shapes = [[rg.size if d is E else d for d in dims] for _, dims, _, _ in table]
     # Contexts too big to enumerate must still see >= 10^4 random tuples
     # in total, however many of the checks end up sampled.
     will_sample = sum(math.prod(s) > EXHAUSTIVE_CELL_LIMIT for s in shapes)
     if will_sample:
         samples = max(samples, -(-MIN_SAMPLED_AGGREGATE // will_sample))
-    rows = _engine.element_rows(ctx) if rg.size <= EXHAUSTIVE_CELL_LIMIT else None
+    rows = None if ids or rg.size > EXHAUSTIVE_CELL_LIMIT else _engine.element_rows(ctx)
+    encode = ids.encode if ids else np.asarray
 
     checks: List[IdentityCheck] = []
     for (name, dims, salt, test), shape in zip(table, shapes):
-        start = time.perf_counter()
         count = math.prod(shape)
         exhaustive = count <= EXHAUSTIVE_CELL_LIMIT
         if not exhaustive:
             rng = np.random.default_rng(seed + salt)
-            drawn = [rng.integers(0, nr, size=(samples, ng)).astype(np.int16) if d is E
-                     else rng.integers(0, d, size=samples) for d in dims]
+            drawn = [encode(rng.integers(0, nr, size=(samples, ng)).astype(np.int16))
+                     if d is E else rng.integers(0, d, size=samples) for d in dims]
             count = samples
         bad = 0
         for lo in range(0, count, _MONO_CHUNK):
             at = np.arange(lo, min(lo + _MONO_CHUNK, count))
             if exhaustive:
-                coords = [rows[c] if d is E else c
+                coords = [rows[c] if d is E and rows is not None else c
                           for d, c in zip(dims, np.unravel_index(at, shape))]
             else:
                 coords = [c[at] for c in drawn]
             lhs, rhs = test(*coords)
             bad += int(np.not_equal(lhs, rhs).reshape(at.size, -1).any(axis=1).sum())
+        end = time.perf_counter()
         checks.append(IdentityCheck(
-            name, "exhaustive" if exhaustive else "sampled", count, bad,
-            (time.perf_counter() - start) * 1e3))
+            name, "exhaustive" if exhaustive else "sampled", count, bad, (end - start) * 1e3))
+        start = end
     return checks
 
 

@@ -40,6 +40,7 @@ from jrl.groupring import (
 from jrl.groups import builtin_group, cyclic_group
 from jrl.nilpotency import minimal_jordan_index, spanning_set
 from jrl.rings import FiniteRing, builtin_ring, zmod_ring
+from support_rings import relabelled_z4, scalar_plus_strict_upper_4x4_gf2
 
 
 def make(ring, group):
@@ -268,6 +269,7 @@ def test_fast_and_generic_folds_agree(ring, group):
     forced = TableContext(rg)
     forced.add_is_xor = False
     forced.add_is_mod = False
+    forced.fields = None
     A, _ = rows_and_elements(rg, 80, seed=31)
     B, _ = rows_and_elements(rg, 80, seed=32)
     for kernel in (rows_mul, rows_add, rows_circle, rows_bracket):
@@ -283,6 +285,13 @@ def fold_kind(ctx):
     return "xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table"
 
 
+def rows_kind(ctx):
+    """The sum that rows_mul's fold takes; one field is addition mod |R|."""
+    if ctx.add_is_xor or ctx.slots is None:
+        return "xor" if ctx.add_is_xor else "table"
+    return "mod" if len(ctx.fields) == 1 else "native"
+
+
 def read_only_rows(rg, count, seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, rg.ring.order, size=(count, rg.group.order)).astype(np.int16)
@@ -296,9 +305,11 @@ def check_fold_across_block_edges(rg, kind):
     equal to the forced table-addition fold on every row and to gr_mul on
     the rows at the block edges."""
     ctx = table_context(rg)
-    assert fold_kind(ctx) == kind
+    assert rows_kind(ctx) == kind
     forced = TableContext(rg)
     forced.add_is_xor = forced.add_is_mod = False
+    forced.fields = None
+    assert rows_kind(forced) == "table"
     ng = rg.group.order
     block = max(1, eng._FOLD_CELLS // ng)
     for count in (0, 1, block - 1, block, block + 1, 3 * block + 5):
@@ -318,10 +329,44 @@ def check_fold_across_block_edges(rg, kind):
 @pytest.mark.parametrize("ring,group,kind", [
     ("M2F2", "D4", "xor"), ("M2F2", "D4xD4", "xor"),
     ("Z8", "D4", "mod"), ("Z8", "D4xD4", "mod"),
-    ("T2Z4", "D4", "table"), ("T2Z4", "D4xD4", "table"),
+    ("T2Z4", "D4", "native"), ("T2Z4", "D4xD4", "native"),
+    ("Z4'", "D4", "table"), ("Z4'", "D4xD4", "table"),
 ])
 def test_fold_across_block_edges(ring, group, kind):
-    check_fold_across_block_edges(make(ring, group), kind)
+    R = relabelled_z4() if ring == "Z4'" else builtin_ring(ring)
+    check_fold_across_block_edges(GroupRing(R, builtin_group(group)), kind)
+
+
+@pytest.mark.parametrize("ring,fields", [
+    ("Z2", (2,)), ("Z4", (4,)), ("Z8", (8,)), ("Z16", (16,)),
+    ("M2F2", (2, 2, 2, 2)), ("T2F2", (2, 2, 2)), ("T2Z4", (4, 4, 4)),
+    ("H16", (2, 2, 2, 2)), ("H32", (4, 2, 2, 2)), ("U4F2", (2,) * 7), ("Z4'", None),
+])
+def test_ring_fields_are_detected(ring, fields):
+    R = {"U4F2": scalar_plus_strict_upper_4x4_gf2, "Z4'": relabelled_z4}.get(
+        ring, functools.partial(builtin_ring, ring))()
+    assert table_context(GroupRing(R, builtin_group("C2"))).fields == fields
+
+
+def test_native_fold_slots_at_their_bound():
+    # T2Z4[S3]: three fields of order 4, six terms of 3 each fill 5 bits a
+    # slot, so the int16 total uses all 15 bits; a ones row times a row of
+    # id 63 (3 in every field) sums 18 = 2 mod 4 in every field, id 42.
+    rg = make("T2Z4", "S3")
+    ctx = table_context(rg)
+    assert ctx.slots[0].dtype == np.int16 and rows_kind(ctx) == "native"
+    ones = np.full((3, 6), rg.ring.one, dtype=np.int16)
+    top = np.full((3, 6), 63, dtype=np.int16)
+    assert (rows_mul(ctx, ones, top) == 42).all()
+    check_fold_across_block_edges(rg, "native")
+
+
+def test_fold_falls_back_when_slots_overflow_int32():
+    # H32 over C128: 9 + 3 * 8 slot bits do not fit int32, so the fold adds
+    # through the table, and still matches gr_mul at the block edges.
+    rg = GroupRing(builtin_ring("H32"), cyclic_group(128))
+    assert table_context(rg).fields == (4, 2, 2, 2)
+    check_fold_across_block_edges(rg, "table")
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,6 +379,7 @@ def test_mod_fold_with_an_int32_total():
     # |G| (|R| - 1) = 128 * 257 overflows int16, so the mod fold sums in int32
     rg = zmod_over_c128(258)
     assert rg.group.order * (rg.ring.order - 1) > np.iinfo(np.int16).max
+    assert table_context(rg).slots[0].dtype == np.int32
     check_fold_across_block_edges(rg, "mod")
     # random rows stay far below the bound; 1 * 257 in every term reaches it
     ones = np.full((3, 128), rg.ring.one, dtype=np.int16)

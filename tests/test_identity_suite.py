@@ -1,6 +1,7 @@
 """The identity suite itself: modes, determinism, sampling floor, and a
 negative control proving the checks can actually fail."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -251,3 +252,55 @@ def test_monomial_expansion_chunk_memory_is_bounded():
         tracemalloc.stop()
     assert bad == 0
     assert peak <= 4 << 20
+
+
+# --- element checks on id tables ----------------------------------------------
+
+ID_TABLE_CONTEXTS = {
+    "Z2-S3": lambda: make("Z2", "S3"),
+    "Z4-C2": lambda: make("Z4", "C2"),
+    "H32-C2": lambda: make("H32", "C2"),
+    # broken_z4 over C4, not D4: 4^8 elements over D4 are too many pairs
+    "Z4broken-C4": lambda: GroupRing(broken_z4(), builtin_group("C4")),
+    "Z4-C4inverse": lambda: GroupRing(builtin_ring("Z4"), broken_group("C4", "inverse")),
+}
+
+
+@pytest.mark.parametrize("name", list(ID_TABLE_CONTEXTS))
+def test_id_path_equals_row_path(monkeypatch, name):
+    # Every pair of elements can be enumerated, so the element checks run on
+    # id tables; without them they run on rows, through the same kernels.
+    rg = ID_TABLE_CONTEXTS[name]()
+    assert rg.size ** 2 <= identities.EXHAUSTIVE_CELL_LIMIT
+    by_ids = run_identity_suite(rg, seed=3)
+    monkeypatch.setattr(identities, "_element_ids", lambda ctx: None)
+    by_rows = run_identity_suite(ID_TABLE_CONTEXTS[name](), seed=3)
+    assert by_ids == by_rows
+    if "broken" in name or "inverse" in name:
+        assert not suite_passed(by_ids)
+
+
+def test_id_tables_come_from_rows_mul_on_every_pair(monkeypatch):
+    from jrl import _engine
+    rg = make("Z2", "S3")
+    pairs, real = [], _engine.rows_mul
+    monkeypatch.setattr(_engine, "rows_mul", lambda ctx, A, B: pairs.append(len(A)) or
+                        real(ctx, A, B))
+
+    def refuse(*args):
+        raise AssertionError("the id tables must not come from product_with_row")
+    monkeypatch.setattr(_engine, "product_with_row", refuse)
+    identities._element_ids(_engine.table_context(rg)).tables()
+    assert sum(pairs) == rg.size ** 2
+    assert suite_passed(run_identity_suite(rg))
+
+
+@pytest.mark.parametrize("ring,group", [("Z2", "S3"), ("H32", "C2"), ("Z8", "D4")])
+def test_check_times_sum_to_the_suite_wall_time(ring, group):
+    # set-up and the id tables are charged to the checks, so no time goes
+    # unreported
+    rg = make(ring, group)
+    start = time.perf_counter()
+    checks = run_identity_suite(rg, samples=200)
+    wall = (time.perf_counter() - start) * 1e3
+    assert abs(sum(c.ms for c in checks) - wall) <= 0.05 * wall
