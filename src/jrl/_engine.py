@@ -5,6 +5,12 @@ element.  Everything here is a faithful restatement of the scalar
 arithmetic in groupring.py; the test suite pins the two against each
 other on sampled inputs.
 
+The kernels work in each ring's canonical ids, where zero is 0, and add
+only through the ring's Adder.  Ring ids enter at one boundary, the
+monomials of a search (TableContext.mono_rows and the monomial plan).  A
+search reports monomial indices and the full-space check counts values,
+so no result depends on how a ring numbers its elements.
+
 The search frontier runs through one monomial kernel, behind
 candidate_block and scan_final_level.  Its monomials are grouped by
 ring coefficient: the products of the frontier rows with r are gathered
@@ -19,94 +25,154 @@ levels, zero rows are found a word at a time and equal rows merged by
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .groupring import GroupRing
 
-class TableContext:
-    """numpy handles for one (ring, group) pair.
 
-    radd, rmul and gmul are the ring's and group's own validated tables.
-    Derived tables are kept here, once: rneg and ginv, from the ring and
-    group, ginv_cols for the convolution kernels, rmul_scaled for the fold,
-    the monomial kernel's shift tables, the add_is_xor / add_is_mod flags
-    and zero_word, rzero in each int16 lane of a uint64 word.
+def _cyclic_fields(add: np.ndarray, zero: int) -> Tuple[tuple, np.ndarray]:
+    """Orders of cyclic fields whose direct sum is (R, +), and the ring id
+    of each canonical id (see Adder)."""
+    multiples = [np.arange(add.shape[0], dtype=add.dtype)]   # [k - 1, a] = k a, to the exponent
+    while (multiples[-1] != zero).any():
+        multiples.append(add[multiples[-1], multiples[0]])
+    multiples, ids, fields = np.array(multiples), np.array([zero]), ()
+    while ids.size < add.shape[0]:
+        order = np.isin(multiples, ids).argmax(axis=0) + 1    # modulo the fields so far
+        m = int(order.max())
+        lifts = add[order.argmax(), ids]
+        lift = lifts[multiples[m - 1, lifts] == zero].min()   # one of order m
+        ids = add[np.append(zero, multiples[:m - 1, lift])[:, None], ids].ravel()
+        fields += (m,)
+    return fields, ids
+
+
+class Adder:
+    """A ring's canonical numbering, and the one sum that the kernels use.
+
+    (R, +) is a direct sum of cyclic fields: the first generated by an
+    element of greatest order, lowest id first, each next one by an element
+    of greatest order modulo the fields so far, lifted to one of that order
+    (the fields so far are a direct summand, so one exists).  The canonical
+    id of d_0 x_0 + d_1 x_1 + ... is d_0 + m_0 (d_1 + m_1 (...)), so zero is
+    id 0; each built-in ring is numbered so already.  A sum is then a sum
+    per digit: XOR when every field has order 2; for two terms, modulo |R|
+    on one field of order 2^w and ((a&L) + (b&L)) ^ ((a^b)&H) on several (H
+    the top bit of each field, L the bits below).  Other sums spread each
+    term's digits to slots of an int16, int32 or int64 that no sum carries
+    out of, add plainly and decode once, by a mask on a field of order 2^w
+    and a remainder on the others; past int64 they add two terms at a time.
+    """
+
+    def __init__(self, ring):
+        self.fields, self.ids = _cyclic_fields(ring.add_table, ring.zero)
+        self.nr, self.canon = ring.order, np.argsort(self.ids).astype(np.int16)
+        self.rmul = self.canon[ring.mul_table[np.ix_(self.ids, self.ids)]]
+        self.bases = np.cumprod((1,) + self.fields)[:-1].tolist()
+        self.xor = all(m == 2 for m in self.fields)
+        packed = all(m & (m - 1) == 0 for m in self.fields)
+        self.high = sum(b * m // 2 for b, m in zip(self.bases, self.fields)) if packed else None
+        self._layouts = {}
+
+    def _layout(self, k: int):
+        """Slots for k-term sums: per field (order, base, bit offset, width),
+        and each canonical id's encoding; (None, None) under XOR or past int64."""
+        if k not in self._layouts:
+            widths = [(k * (m - 1)).bit_length() for m in self.fields]
+            offsets = np.cumsum([0] + widths[:-1]).tolist()
+            dtypes = [t for t in (np.int16, np.int32, np.int64) if sum(widths) < np.iinfo(t).bits]
+            spread = sum(np.arange(self.nr) // b % m << o
+                         for m, b, o in zip(self.fields, self.bases, offsets))
+            self._layouts[k] = (None, None) if self.xor or not dtypes else (
+                list(zip(self.fields, self.bases, offsets, widths)), spread.astype(dtypes[0]))
+        return self._layouts[k]
+
+    def encode(self, table: np.ndarray, k: int):
+        """table's canonical ids as terms of a k-term sum, and how to add
+        two: encodings plainly, else ids by XOR or by add."""
+        spread = self._layout(k)[1]
+        if spread is None:
+            return table, np.bitwise_xor if self.xor else self.add
+        return spread.take(table), np.add
+
+    def decode(self, total: np.ndarray, k: int, out: np.ndarray, scratch=None) -> np.ndarray:
+        """The canonical ids of k-term sums, into out; scratch (shaped as
+        total) spares an array per field after the first."""
+        slots = self._layout(k)[0]
+        if slots is None:
+            return np.positive(total, out=out)
+        scratch = np.empty(total.shape, np.intp) if scratch is None else scratch
+        for i, (m, base, offset, width) in enumerate(slots):
+            digit = scratch if i else out
+            src = np.right_shift(total, offset, out=digit, casting="unsafe") if offset else total
+            if m & (m - 1) == 0:
+                np.bitwise_and(src, m - 1, out=digit, casting="unsafe")
+            else:   # the slot, cut from the slots above it, may not fit digit
+                np.remainder(src & (1 << width) - 1, m, out=digit, casting="unsafe")
+            if i:
+                np.multiply(digit, base, out=digit)
+                np.add(out, digit, out=out, casting="unsafe")
+        return out
+
+    def add(self, a, b, out=None) -> np.ndarray:
+        """a + b entrywise; a and b may broadcast, and out may overlap them."""
+        if self.xor:
+            return np.bitwise_xor(a, b, out=out)
+        if self.high is None:
+            total = self._layout(2)[1].take(a) + self._layout(2)[1].take(b)
+            return self.decode(total, 2, np.empty(total.shape, np.int16) if out is None else out)
+        if len(self.fields) == 1:    # an int16 sum that wraps keeps its low bits
+            out = np.add(a, b, out=out)
+            return np.bitwise_and(out, self.nr - 1, out=out)
+        low, high = self.nr - 1 - self.high, self.high
+        ah, bh, bl = a & high, b & high, b & low   # read before out is written
+        out = np.add(a & low, bl, out=out)
+        out ^= ah
+        return np.bitwise_xor(out, bh, out=out)
+
+    def neg(self, a: np.ndarray) -> np.ndarray:
+        """-a entrywise: |R| - 1 - a complements every digit without a borrow,
+        and adding one to each digit makes it m - d mod m."""
+        return self.add(self.nr - 1 - a, sum(self.bases))
+
+
+class TableContext:
+    """numpy handles for one (ring, group) pair, in canonical ring ids.
+
+    adder is the ring's numbering and sum, built once and kept on the ring
+    (it holds no reference back), rmul its products in canonical ids, and
+    gmul the group's own table.  Derived tables are kept here, once: ginv,
+    ginv_cols for the convolution kernels, and the monomial shift tables.
     """
 
     def __init__(self, rg: GroupRing):
         ring, group = rg.ring, rg.group
-        self.radd = np.asarray(ring.add_table, dtype=np.int16)
-        self.rmul = np.asarray(ring.mul_table, dtype=np.int16)
-        self.rneg = np.asarray(ring._neg, dtype=np.int16)
+        self.adder = ring._adder = getattr(ring, "_adder", None) or Adder(ring)
+        self.rmul = self.adder.rmul
         self.gmul = np.asarray(group.table, dtype=np.int16)
         self.nr = ring.order
         self.ng = group.order
-        self.rzero = ring.zero
-        self.zero_word = np.full(4, self.rzero, dtype=np.int16).view(np.uint64)[0]
-        ids = np.arange(self.nr)
-        # When the addition table happens to be XOR on indices, or plain
-        # integer addition mod the order, the convolution fold can run as
-        # native arithmetic instead of repeated table gathers.
-        self.add_is_xor = bool(
-            self.rzero == 0
-            and np.array_equal(self.radd, np.bitwise_xor.outer(ids, ids)))
-        self.add_is_mod = bool(
-            self.rzero == 0
-            and np.array_equal(self.radd, (ids[:, None] + ids[None, :]) % self.nr))
         self.ginv = np.asarray(group._inv, dtype=np.int16)
         self.ginv_cols = self.gmul[self.ginv]   # [g, h] -> g^-1 * h
-        # products times |R|: row offsets into the flattened addition table
-        self.rmul_scaled = self.rmul.ravel().astype(np.intp) * self.nr
         # column permutations of a product with a monomial r g, as take
         # indices: [g, x] = x g^-1 (right side) and [g, x] = g^-1 x (left)
         self.right_shift = self.gmul[:, self.ginv].T.astype(np.intp)
         self.left_shift = self.ginv_cols.astype(np.intp)
         self.last_plan = None   # (key, _MonomialPlan) of the last kernel call
 
-    @cached_property
-    def fields(self):
-        """Orders of the additive fields that ids pack, lowest bits first:
-        (|R|,) under addition mod |R|, else fields of 2^w ids if the whole
-        addition table is field-wise addition (every built-in ring)."""
-        if self.add_is_mod:
-            return (self.nr,)
-        bits = np.arange(self.nr.bit_length() - 1)
-        top = self.radd[1 << bits, 1 << bits] == 0     # u + u = 0: u tops its field
-        ids, high = np.arange(self.nr), int(np.sum(top << bits))
-        low = ids & (self.nr - 1 - high)   # low bits add, carrying into the top bit
-        if np.array_equal(self.radd, (low[:, None] + low) ^ ((ids[:, None] ^ ids) & high)):
-            return tuple(1 << int(w) for w in np.diff(np.flatnonzero(top), prepend=-1))
-        return None
-
-    @cached_property
-    def slots(self):
-        """The fold's native sum: products as a flat table with each field in
-        a slot of an int16 (else int32) word wide enough for |G| terms, and
-        per field (shift, mask) back into an id; None if int32 is too narrow."""
-        if self.fields is None:
-            return None
-        prods, spread, unpack, shift, base = self.rmul.ravel().astype(np.int64), 0, [], 0, 1
-        for m in self.fields:
-            spread = spread + (prods // base % m << shift)
-            unpack.append((shift - base.bit_length() + 1, (m - 1) * base))
-            shift, base = shift + (self.ng * (m - 1)).bit_length(), base * m
-        return None if shift > 31 else (
-            spread.astype(np.int16 if shift <= 15 else np.int32), unpack)
-
     def mono_rows(self, rs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        """The monomials rs[i]*gs[i] as rows (coefficient arrays)."""
-        rows = np.full((len(gs), self.ng), self.rzero, dtype=np.int16)
-        rows[np.arange(len(gs)), gs] = rs
+        """The monomials rs[i]*gs[i], rs in ring ids, as rows."""
+        rows = np.zeros((len(gs), self.ng), dtype=np.int16)
+        rows[np.arange(len(gs)), gs] = self.adder.canon[rs]
         return rows
 
     def zero_row_mask(self, rows: np.ndarray) -> np.ndarray:
-        """Which rows are all rzero: flags per word (else per entry), OR-ed
+        """Which rows are all zero: flags per word (else per entry), OR-ed
         a column of up to 8 bytes at a time, not reduced along the row."""
-        words = _words(rows)
-        flags = words != self.zero_word if words is not rows else rows != self.rzero
+        flags = _words(rows) != 0
         width = flags.shape[1]
         cols = np.ascontiguousarray(flags).view(f"u{min(8, width & -width)}")
         return reduce(np.bitwise_or, cols.T) == 0
@@ -146,26 +212,19 @@ def element_rows(ctx: TableContext) -> np.ndarray:
 # group element of each block writes into them through out=: no array is
 # allocated per term, whatever the allocator's state.  (Fresh per-term
 # arrays the size of the output each became a new zero-filled mapping under
-# a fixed glibc mmap threshold.)  The sum is one of three: native XOR; the
-# native sum of a ring's fields, each in its own slot of the total (see
-# TableContext.slots), decoded once per block; or a gather from the
-# flattened addition table at t |R| + sum, which commutativity of addition
-# allows, so each term t |R| comes straight from rmul_scaled.  Each block's
-# last ufunc writes its sums, transposed, into the C-contiguous output.
+# a fixed glibc mmap threshold.)  The terms come from the product table as
+# the adder encodes it for |G| terms, summed as it says (XOR, or plain
+# addition of slots), and decoded into the output once per block with the
+# index buffer as scratch.
 _FOLD_CELLS = 1 << 15
-_INT16_MAX = int(np.iinfo(np.int16).max)
 
 
 def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # out[:, h] = sum over g of A[:, g] * B[:, g^-1 h], started from the
     # g = 0 term.  Every index is in range, so take's mode="clip" changes no
     # value; it only spares numpy the copy of out that mode="raise" makes.
-    n, ng, nr = A.shape[0], ctx.ng, ctx.nr
-    mul, add, cols = ctx.rmul.ravel(), ctx.radd.ravel(), ctx.ginv_cols
-    xor = ctx.add_is_xor
-    native = None if xor else ctx.slots
-    first = mul if native is None else native[0]      # the g = 0 term's table
-    terms = ctx.rmul_scaled if native is None and not xor else first
+    n, ng, nr, adder = A.shape[0], ctx.ng, ctx.nr, ctx.adder
+    (terms, add), cols = adder.encode(ctx.rmul.ravel(), ng), ctx.ginv_cols
     out = np.empty((n, ng), dtype=np.int16)
     rows = max(1, _FOLD_CELLS // ng)
     m = min(n, rows)
@@ -173,7 +232,7 @@ def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarra
     right = np.empty((ng, m), dtype=np.intp)
     index = np.empty((ng, m), dtype=np.intp)
     term = np.empty((ng, m), dtype=terms.dtype)
-    total = np.empty((ng, m), dtype=first.dtype)
+    total = np.empty((ng, m), dtype=terms.dtype)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         if hi - lo < m:  # a partial last block, on the buffers' contiguous heads
@@ -185,30 +244,12 @@ def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarra
         for g in range(ng):
             right.take(cols[g], 0, index, "clip")
             np.add(index, scaled[g], out=index)
-            if g == 0:
-                first.take(index, None, total, "clip")
-                continue
-            terms.take(index, None, term, "clip")
-            if xor:
-                np.bitwise_xor(total, term, out=total)
-            elif native is not None:
-                np.add(total, term, out=total)
-            else:
-                np.add(term, total, out=index)
-                add.take(index, None, total, "clip")
+            terms.take(index, None, term if g else total, "clip")
+            if g:
+                add(total, term, out=total)
         # a ufunc walks the block's long rows; copyto would walk the
         # output's rows of |G| entries, about twice as slow at small |G|
-        block = out[lo:hi].T
-        if native is None:
-            np.positive(total, out=block)
-        elif nr & (nr - 1):                           # one field, mod |R|
-            np.remainder(total, nr, out=block, casting="unsafe")
-        else:
-            np.bitwise_and(total, ctx.fields[0] - 1, out=block, casting="unsafe")
-            for shift, mask in native[1][1:]:
-                np.right_shift(total, shift, out=index)
-                np.bitwise_and(index, mask, out=index)
-                np.bitwise_or(block, index, out=block, casting="unsafe")
+        adder.decode(total, ng, out[lo:hi].T, index)
     return out
 
 
@@ -218,31 +259,13 @@ def rows_mul(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def rows_add(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Entrywise ring sum: native XOR, the native sum of fields packed in
-    2^w ids, else the addition table itself."""
-    if ctx.add_is_xor:
-        return A ^ B
-    if ctx.fields is None or ctx.nr & (ctx.nr - 1):
-        return ctx.radd[A, B]
-    if len(ctx.fields) == 1:           # addition mod 2^w
-        total = A + B
-        total &= ctx.nr - 1
-        return total
-    high = int(np.cumprod(ctx.fields).sum()) // 2   # the top bit of every field
-    total = A & (ctx.nr - 1 - high)    # low bits add, carrying into the top bits
-    total += B & (ctx.nr - 1 - high)
-    total ^= (A ^ B) & high
-    return total
+    """Entrywise ring sum."""
+    return ctx.adder.add(A, B)
 
 
 def rows_neg(ctx: TableContext, A: np.ndarray) -> np.ndarray:
-    """Entrywise additive inverse; under XOR every element is its own
-    inverse, so the rows come back as they are."""
-    if ctx.add_is_xor:
-        return A
-    if ctx.add_is_mod:
-        return -A % ctx.nr if ctx.nr & (ctx.nr - 1) else -A & (ctx.nr - 1)
-    return ctx.rneg[A]
+    """Entrywise additive inverse."""
+    return ctx.adder.neg(A)
 
 
 def rows_circle(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -254,9 +277,8 @@ def rows_bracket(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 # product_with_row sums its terms a block of rows at a time, so that its
-# one term buffer, every coordinate plane of the block's rows, stays within
-# _TERM_BYTES: 2^16 int16 terms for native addition, 2^14 8-byte row
-# offsets for the addition-table gather.
+# term buffer, every coordinate plane of the block's rows, stays within
+# _TERM_BYTES, as does the running sum beside it.
 _TERM_BYTES = 1 << 17
 
 
@@ -272,61 +294,37 @@ def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
     then the sum of left[g, i] at block[j, g^-1 h] over g and of right[y, i]
     at block[j, h y^-1] over y: the 2|G| terms of ab + ba (or ab - ba).
     Each g (and each y) is one column gather for every plane at once,
-    through an (|G|, k) index of block entries.  The terms are added by
-    native XOR, by native int16 addition reduced mod |R| once (int32 when
-    2|G| (|R| - 1) overflows int16), or by gathers from the flattened
-    addition table at t |R| + sum.  The sums fill one (m, |G|, k) buffer,
-    returned as an (m, k, |G|) view, or (m, |G|) for a 1-D brow.
+    through an (|G|, k) index of block entries.  Both sides are encoded
+    once as the adder's terms of a 2|G|-term sum, summed as it says into a
+    running sum, and decoded once per block of rows into one (m, |G|, k)
+    buffer, returned as an (m, k, |G|) view, or (m, |G|) for a 1-D brow.
     """
     Q = brow if brow.ndim == 2 else brow[None]
-    m, k, ng, nr = P.shape[0], Q.shape[0], ctx.ng, ctx.nr
-    xor = ctx.add_is_xor
-    mod = ctx.add_is_mod and not xor
-    wide = mod and 2 * ng * (nr - 1) > _INT16_MAX
+    m, k, ng, adder = P.shape[0], Q.shape[0], ctx.ng, ctx.adder
     left = ctx.rmul[P.T]                  # [g, i, r] = P[i, g] * r
     right = ctx.rmul.T[P.T]               # [y, i, r] = r * P[i, y]
     if op != "circle":
         right = rows_neg(ctx, right)
-    if xor or mod:
-        sources = (left, right)
-    else:                                 # terms as row offsets t |R|
-        sources = (np.multiply(left, nr, dtype=np.intp),
-                   np.multiply(right, nr, dtype=np.intp))
-        add = ctx.radd.ravel()
+    (left, add), (right, _) = adder.encode(left, 2 * ng), adder.encode(right, 2 * ng)
     QT = Q.T.astype(np.intp)              # [g] = entry g of every block row
     # [g, h] = block entries g^-1 h for left[g]; [y, h] = h y^-1 for right[y]
     at = (QT.take(ctx.left_shift, 0), QT.take(ctx.right_shift, 0))
     out = np.empty((m, ng, k), dtype=np.int16)
-    dtype = np.dtype(np.int16 if xor or mod else np.intp)
-    rows = max(1, _TERM_BYTES // (max(ng * k, 1) * dtype.itemsize))
-    term = np.empty((min(m, rows), ng, k), dtype=dtype)
-    total = np.empty_like(term, dtype=np.int32) if wide else None
+    rows = max(1, _TERM_BYTES // (max(ng * k, 1) * left.itemsize))
+    term = np.empty((min(m, rows), ng, k), dtype=left.dtype)
+    total = np.empty_like(term)
     # Every index is in range, so take's mode="clip" changes no value; it
     # only spares numpy the copy of out that mode="raise" makes.
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        t, block = term[:hi - lo], out[lo:hi]
-        acc = block if total is None else total[:hi - lo]
-        steps = [(side[g, lo:hi], cols[g]) for side, cols in zip(sources, at)
+        t, acc = term[:hi - lo], total[:hi - lo]
+        steps = [(side[g, lo:hi], cols[g]) for side, cols in zip((left, right), at)
                  for g in range(ng)]
-        if wide:
-            acc.fill(0)
-        else:                             # the first term, unscaled, into acc
-            left[0, lo:hi].take(at[0][0], 1, acc, "clip")
-            steps = steps[1:]
-        for src, cols in steps:
-            src.take(cols, 1, t, "clip")
-            if xor:
-                np.bitwise_xor(acc, t, out=acc)
-            elif mod:
-                np.add(acc, t, out=acc)
-            else:
-                np.add(t, acc, out=t)
-                add.take(t, None, acc, "clip")
-        if mod and nr & (nr - 1):
-            np.remainder(acc, nr, out=block, casting="unsafe")
-        elif mod:
-            np.bitwise_and(acc, nr - 1, out=block, casting="unsafe")
+        for i, (src, cols) in enumerate(steps):
+            src.take(cols, 1, t if i else acc, "clip")
+            if i:
+                add(acc, t, out=acc)
+        adder.decode(acc, 2 * ng, out[lo:hi], t)
     prod = out.transpose(0, 2, 1)
     return prod if brow.ndim == 2 else prod[:, 0, :]
 
@@ -391,38 +389,34 @@ def unique_rows_keep_first(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 # p's columns and rescales its entries: (p rg)[x] = p[x g^-1] r and
 # (rg p)[x] = r p[g^-1 x].  Per distinct r, a tile's rows are rescaled on
 # each side through one |R|-entry lookup row (the bracket's negation is
-# folded into the left one, the addition table's row offset t |R| into the
-# right one).  Consecutive monomials with the same r form a run; a run
-# costs one take per side, through right_shift and left_shift, and one
-# sum: native XOR, native addition reduced mod |R|, or a gather from the
-# flattened addition table.  A tile holds at most _TILE_CELLS products
-# (rows times run length times |G|); its buffers are allocated once per
-# call and a partial last tile uses their contiguous heads.  Tiles are held
-# transposed, as (|G|, rows), so each take moves whole rows of the buffer
-# instead of single entries, and candidate_block transposes each run's
-# sums into its output once.
+# folded into the left one).  Consecutive monomials with the same r form a
+# run; a run costs one take per side, through right_shift and left_shift,
+# and one two-term sum by the adder.  A tile holds at most _TILE_CELLS
+# products (rows times run length times |G|); its buffers are allocated
+# once per call and a partial last tile uses their contiguous heads.  Tiles
+# are held transposed, as (|G|, rows), so each take moves whole rows of
+# the buffer instead of single entries, and candidate_block transposes
+# each run's sums into its output once.
 _TILE_CELLS = 1 << 15
 
 
 class _MonomialPlan:
     """The monomials of one kernel call, grouped by ring coefficient in
     order of first appearance: for each distinct r its two lookup rows and
-    its runs (first position, length).  Holds no buffer and no reference
+    its runs (first position, length).  Coefficients come in ring ids and
+    are mapped to canonical ones here.  Holds no buffer and no reference
     to the context, so a context can keep its last plan at little cost."""
 
     def __init__(self, ctx: TableContext, monos: Sequence[Tuple[int, int]], op: str):
         ng = ctx.ng
         pairs = np.asarray(monos, dtype=np.intp).reshape(-1, 2)
         self.gs = pairs[:, 1]
-        self.kind = "xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table"
-        rs = pairs[:, 0].tolist()
+        rs = ctx.adder.canon[pairs[:, 0]].tolist()
         distinct = list(dict.fromkeys(rs))
         right = ctx.rmul.T[distinct]                    # [i, p] = p r_i
         left = ctx.rmul[distinct]                       # [i, p] = r_i p
         if op != "circle":
-            left = ctx.rneg[left]
-        if self.kind == "table":
-            right = right.astype(np.intp) * ctx.nr
+            left = ctx.adder.neg(left)
         cap = max(1, _TILE_CELLS // ng)          # monomials per run, at most
         cuts = [j for j in range(1, len(rs)) if rs[j] != rs[j - 1]]
         runs: dict = {r: [] for r in distinct}
@@ -440,17 +434,14 @@ class _MonomialPlan:
         run overwrites.  Every index is in range, so take's mode="clip"
         changes no value; it only spares numpy the copy of out that
         mode="raise" makes."""
-        m, ng, nr = V.shape[0], ctx.ng, ctx.nr
+        m, ng = V.shape[0], ctx.ng
         rows = min(self.rows, m)
         cells = self.widest * ng * rows
-        wide = np.intp if self.kind == "table" else np.int16
-        Vr_buf = np.empty(ng * rows, dtype=wide)
+        Vr_buf = np.empty(ng * rows, dtype=np.int16)
         rV_buf = np.empty(ng * rows, dtype=np.int16)
-        right_buf = np.empty(cells, dtype=wide)
+        right_buf = np.empty(cells, dtype=np.int16)
         left_buf = np.empty(cells, dtype=np.int16)
-        sums_buf = np.empty(cells, dtype=np.int16)
         rcols, lcols = ctx.right_shift[self.gs], ctx.left_shift[self.gs]
-        add = ctx.radd.ravel()
 
         def runs(lo, hi):
             n = hi - lo
@@ -464,23 +455,9 @@ class _MonomialPlan:
                     size = k * ng * n
                     a = right_buf[:size].reshape(k * ng, n)
                     b = left_buf[:size].reshape(k * ng, n)
-                    sums = sums_buf[:size].reshape(k * ng, n)
                     Vr.take(rcols[j0:j0 + k].ravel(), 0, a, "clip")
                     rV.take(lcols[j0:j0 + k].ravel(), 0, b, "clip")
-                    if self.kind == "xor":
-                        np.bitwise_xor(a, b, out=sums)
-                    elif self.kind == "mod":
-                        # unsigned, so the sum of two ids below 2^15 cannot wrap
-                        au = a.view(np.uint16)
-                        np.add(au, b.view(np.uint16), out=au)
-                        if nr & (nr - 1):
-                            np.remainder(au, nr, out=sums, casting="unsafe")
-                        else:
-                            np.bitwise_and(au, nr - 1, out=sums, casting="unsafe")
-                    else:
-                        np.add(a, b, out=a)
-                        add.take(a, None, sums, "clip")
-                    yield j0, k, sums
+                    yield j0, k, ctx.adder.add(a, b, out=a)
 
         for lo in range(0, m, self.rows):
             hi = min(lo + self.rows, m)
@@ -523,7 +500,7 @@ def scan_final_level(ctx: TableContext, V: np.ndarray, monos: Sequence[Tuple[int
     for lo, hi, runs in _plan(ctx, monos, op).tiles(ctx, V):
         best = None
         for j0, k, prod in runs:
-            nz = prod != ctx.rzero
+            nz = prod != 0
             if not nz.any():
                 continue
             hits = nz.reshape(k, ng, hi - lo).any(axis=1)      # [j, i]

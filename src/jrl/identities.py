@@ -68,29 +68,28 @@ def _element_ids(ctx: _engine.TableContext) -> SimpleNamespace:
     def op(i):                         # a n + b < n^2 <= EXHAUSTIVE_CELL_LIMIT fits int32
         return lambda a, b: tables()[i].take(a * n + b)
     return SimpleNamespace(mul=op(0), add=op(1), neg=lambda a: tables()[2].take(a),
-                           circle=op(3), bracket=op(4), tables=tables,
-                           zero=np.full(ctx.ng, ctx.rzero) @ weights,
+                           circle=op(3), bracket=op(4), tables=tables, zero=0,
                            encode=lambda rows: rows @ weights)
 
 
 def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tuple:
     """The suite's rows, (name, domain, seed offset, test): a test maps one
-    coordinate array per domain entry to both sides of its identity.  The
-    element checks take rows, or ids when element_ids is given."""
+    coordinate array per domain entry to both sides of its identity, in the
+    context's canonical ring ids.  The element checks take rows, or ids
+    when element_ids is given."""
     ctx = _engine.table_context(rg)
-    ng, nr, rzero, one = ctx.ng, ctx.nr, ctx.rzero, rg.ring.one
-    radd, rmul, rneg = ctx.radd, ctx.rmul, ctx.rneg
+    ng, nr, rmul, one = ctx.ng, ctx.nr, ctx.rmul, int(ctx.adder.canon[rg.ring.one])
     add, neg, mul, circle, bracket = (partial(f, ctx) for f in (
         _engine.rows_add, _engine.rows_neg, _engine.rows_mul, _engine.rows_circle,
         _engine.rows_bracket))
     el = element_ids or SimpleNamespace(add=add, neg=neg, mul=mul, circle=circle,
-                                        bracket=bracket, zero=rzero)
+                                        bracket=bracket, zero=0)
 
     gmul, inv = ctx.gmul.astype(np.intp), ctx.ginv.astype(np.intp)
     ids = np.arange(ng)
     comm = gmul[gmul[inv[:, None], inv[None, :]], gmul]  # [x, y] = x^-1 y^-1 x y
     conj = gmul[gmul[inv[None, :], ids[:, None]], ids]   # [x, y] = y^-1 x y
-    circ = radd[rmul, rmul.T]                           # [a, b] = a o b in R
+    circ = add(rmul, rmul.T)                            # [a, b] = a o b in R
 
     def pick(table, a, b):             # table[a, b], as one flat take
         return table.take(a * table.shape[1] + b)
@@ -111,7 +110,7 @@ def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tu
             side = np.empty((len(places), places[0].size), dtype=np.int16)
             for a, q in enumerate(places):
                 side[a] = reduce(add, [c if p is q else np.where(
-                    same[frozenset((id(p), id(q)))], c, rzero) for p, c in terms])
+                    same[frozenset((id(p), id(q)))], c, 0) for p, c in terms])
             return side.T
         return sums(lhs), sums(rhs)
 
@@ -143,8 +142,8 @@ def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tu
 
     def product_circle(a, b, c):       # (ab) o c = a(b o c) + (c o a)b - 2acb
         acb = rmul[rmul[a, c], b]
-        return circ[rmul[a, b], c], radd[rmul[a, circ[b, c]],
-                                         radd[rmul[circ[c, a], b], rneg[radd[acb, acb]]]]
+        return circ[rmul[a, b], c], add(rmul[a, circ[b, c]],
+                                        add(rmul[circ[c, a], b], neg(add(acb, acb))))
 
     def monomial_expansion(r, s, x, y):  # (r x) o (s y) = (r o s) yx + rs yx ((x, y) - 1)
         yx, rs = pick(gmul, y, x), pick(rmul, r, s)

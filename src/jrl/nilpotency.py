@@ -198,13 +198,10 @@ _LEVEL_BLOCK_ROWS = 16
 
 def _table_row_bytes(ctx: _engine.TableContext) -> int:
     """A table row's share of a batch's buffers, at most: in int16, one
-    full-row plane, the earlier steps of its outer sum (half a row at
-    most) and, when addition is the table's, the rows gathered from it;
-    and per plane and monomial, product_with_row's output, plus the
-    gather's intp row indices."""
-    gather = not (ctx.add_is_xor or ctx.add_is_mod)
-    per_plane_monomial = 10 if gather else 2
-    return 2 * ctx.nr ** ctx.ng * (3 if gather else 2) + ctx.ng ** 2 * ctx.nr * per_plane_monomial
+    full-row plane, the earlier steps of its outer sum (half a row at most)
+    and the sums' temporaries (half a row at most); and per plane and
+    monomial, product_with_row's output."""
+    return 4 * ctx.nr ** ctx.ng + 2 * ctx.ng ** 2 * ctx.nr
 
 
 def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
@@ -216,15 +213,12 @@ def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
     and the two terms that hold b_x are plane h of a o (b_x x), the product
     with the monomial b_x x.  So one product_with_row call per batch of
     rows, against the |R| |G| monomials v x, gives every term the batch
-    needs.  The columns are the elements in id order, coordinate 0
-    fastest, so each plane of the batch's full rows is an outer sum built
-    one coordinate at a time, the new coordinate on the outer axis so that
-    numpy's inner loop grows to the row length.  The sums are native XOR;
-    native int16 addition reduced mod |R| once per plane (no overflow, as
-    |G| (|R| - 1) < size <= EXHAUSTIVE_CAP); or, through the addition
-    table, its rows at the running sum's entries, of which each new
-    coordinate value picks one.  Ids are encoded plane by plane in int16
-    (Horner over the coordinates).
+    needs.  The columns are the elements in id order (canonical ring ids,
+    coordinate 0 fastest), so each plane of the batch's full rows is an
+    outer sum built one coordinate at a time by the ring's adder, the new
+    coordinate on the outer axis so that numpy's inner loop grows to the
+    row length.  Ids are encoded plane by plane in int16 (Horner over the
+    coordinates); zero is id 0.
 
     Each entry's defining sum is only regrouped by the coordinate of b,
     which uses that + is commutative and associative; the monomials' other
@@ -238,30 +232,22 @@ def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
     ctx = _table_context(context)
     nr, ng = ctx.nr, ctx.ng
     size = nr ** ng
-    xor, mod = ctx.add_is_xor, ctx.add_is_mod and not ctx.add_is_xor
     rows = _engine.element_rows(ctx)
-    monos = np.empty((ng, nr, ng), dtype=np.int16)    # [x, v] = v x
-    monos.fill(ctx.rzero)
-    values = np.arange(nr, dtype=np.int16)
-    for x in range(ng):
-        monos[x, :, x] = values
+    monos = np.zeros((ng, nr, ng), dtype=np.int16)    # [x, v] = v x
+    monos[np.arange(ng), :, np.arange(ng)] = np.arange(nr)
     table = np.empty((size, size), dtype=np.int16)
     step = max(1, _TABLE_BATCH_BYTES // _table_row_bytes(ctx))
     m = min(step, size)
-    # a plane below the top one; the earlier steps of a plane's outer sum
-    # (a step that reads the buffer it writes gets a copy of its input
-    # from numpy); and the addition table's rows at a running sum
+    # a plane below the top one, and the earlier steps of a plane's outer
+    # sum (a step that reads the buffer it writes gets a copy of its input
+    # from numpy)
     last = np.empty(m * size, dtype=np.int16) if ng > 1 else None
     early = np.empty(m * size // nr, dtype=np.int16) if ng > 2 else None
-    sums = None if xor or mod or ng == 1 else np.empty(m * size, dtype=np.int16)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         n = hi - lo
         prod = _engine.product_with_row(ctx, rows[lo:hi], monos.reshape(-1, ng), "circle")
         terms = prod.transpose(0, 2, 1).reshape(n, ng, ng, nr)     # [i, h, x, v]
-        if sums is not None:            # [i, h, x, v] = row v n + i of the sums
-            pick = np.multiply(terms, n, dtype=np.intp)
-            pick += np.arange(n)[:, None, None, None]
         ids = table[lo:hi]
         lower = last[:n * size].reshape(n, size) if ng > 1 else None
         early_out = [early[:n * nr ** (x + 1)].reshape(n, nr, -1) for x in range(1, ng - 1)]
@@ -271,27 +257,15 @@ def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
             total = coords[:, 0]
             for x in range(1, ng):
                 out = early_out[x - 1] if x < ng - 1 else plane.reshape(n, nr, -1)
-                if xor:
-                    np.bitwise_xor(coords[:, x, :, None], total[:, None], out=out)
-                elif mod:
-                    np.add(coords[:, x, :, None], total[:, None], out=out)
-                else:                   # [u, i, w] = u + total[i, w]; pick u = v
-                    rows_at = sums[:out.size].reshape(nr, n, -1)
-                    ctx.radd.take(total, 1, rows_at, "clip")
-                    rows_at.reshape(nr * n, -1).take(pick[:, h, x], 0, out, "clip")
+                ctx.adder.add(coords[:, x, :, None], total[:, None], out=out)
                 total = out.reshape(n, -1)
             if ng == 1:
                 plane[...] = total
-            elif mod and nr & (nr - 1):
-                np.remainder(plane, nr, out=plane)
-            elif mod:
-                np.bitwise_and(plane, nr - 1, out=plane)
             if h < ng - 1:
                 ids *= nr
                 ids += plane
-    zero_id = ctx.rzero * sum(nr ** h for h in range(ng))
-    context._full_circle = (table, zero_id)
-    return table, zero_id
+    context._full_circle = (table, 0)
+    return table, 0
 
 
 def _exhaustive_levels(context: Context, n: int) -> List[np.ndarray]:
@@ -367,8 +341,7 @@ def ring_conditions(R: FiniteRing, bound: int = 6) -> RingConditions:
     exactly when it holds on generators.  One gather builds the circle
     products of generator pairs and one more decides each condition.
     """
-    ctx = _table_context(R)
-    radd, rmul, zero = ctx.radd, ctx.rmul, ctx.rzero
+    radd, rmul, zero = R.add_table, R.mul_table, R.zero
     g = np.asarray(R.additive_generating_set(), dtype=np.intp)
     circ = radd[rmul[g[:, None], g], rmul[g, g[:, None]]]   # [i, j] = g_i o g_j
     two = bool((radd[circ, circ] == zero).all())

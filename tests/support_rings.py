@@ -1,5 +1,7 @@
 """Extra structures used only by the tests."""
 
+import numpy as np
+
 from jrl.rings import FiniteRing, _ring_from_model
 
 
@@ -41,3 +43,42 @@ def relabelled_z4() -> FiniteRing:
     table is neither XOR nor addition mod 4 on indices."""
     return _ring_from_model("Z4'", [0, 1, 3, 2], lambda a, b: (a + b) % 4,
                             lambda a, b: a * b % 4, 0, 1)
+
+
+def z2_times_z6() -> FiniteRing:
+    """Z/2 x Z/6, componentwise: (R, +) has fields of orders 6 and 2."""
+    elements = [(a, b) for b in range(6) for a in range(2)]
+    return _ring_from_model("Z2xZ6", elements,
+                            lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 6),
+                            lambda x, y: (x[0] * y[0] % 2, x[1] * y[1] % 6), (0, 0), (1, 1))
+
+
+def z3_dual_numbers() -> FiniteRing:
+    """Z3[x]/(x^2): a + b x with index a + 3 b, so (R, +) is Z/3 x Z/3, a
+    non-cyclic group of odd order."""
+    elements = [(a, b) for b in range(3) for a in range(3)]
+    return _ring_from_model("Z3[x]/(x2)", elements,
+                            lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3),
+                            lambda x, y: (x[0] * y[0] % 3, (x[0] * y[1] + x[1] * y[0]) % 3),
+                            (0, 0), (1, 0))
+
+
+def permuted_ring(R: FiniteRing, perm) -> FiniteRing:
+    """R with element i renamed perm[i]."""
+    perm = np.asarray(perm)
+    old = np.argsort(perm)                        # [new id] = old id
+    add = perm[np.asarray(R.add_table)[np.ix_(old, old)]]
+    mul = perm[np.asarray(R.mul_table)[np.ix_(old, old)]]
+    return FiniteRing(R.name + "'", add.tolist(), mul.tolist(),
+                      int(perm[R.zero]), int(perm[R.one]))
+
+
+def id_addition(R: FiniteRing) -> str:
+    """How R's own ids add: "xor", "mod" (modulo |R|), else "table"; the
+    kernels read the last kind as several fields, or renumber it."""
+    ids, add = np.arange(R.order), np.asarray(R.add_table)
+    if R.zero == 0 and np.array_equal(add, ids[:, None] ^ ids):
+        return "xor"
+    if R.zero == 0 and np.array_equal(add, (ids[:, None] + ids) % R.order):
+        return "mod"
+    return "table"

@@ -39,8 +39,9 @@ from jrl.groupring import (
 )
 from jrl.groups import builtin_group, cyclic_group
 from jrl.nilpotency import minimal_jordan_index, spanning_set
-from jrl.rings import FiniteRing, builtin_ring, zmod_ring
-from support_rings import relabelled_z4, scalar_plus_strict_upper_4x4_gf2
+from jrl.rings import builtin_ring, zmod_ring
+from support_rings import (
+    id_addition, permuted_ring, relabelled_z4, scalar_plus_strict_upper_4x4_gf2)
 
 
 def make(ring, group):
@@ -231,11 +232,11 @@ def product_with_monomial(ctx, P, r: int, g: int, op: str) -> np.ndarray:
 
 
 ENGINE_CONTEXTS = [
-    ("Z2", "D4"),      # xor fold
-    ("Z8", "S3"),      # mod fold
-    ("M2F2", "Q8"),    # xor fold, non-commutative ring
-    ("T2Z4", "D4"),    # table addition
-    ("H32", "S3"),     # table addition
+    ("Z2", "D4"),      # xor
+    ("Z8", "S3"),      # one field of order 8
+    ("M2F2", "Q8"),    # xor, non-commutative ring
+    ("T2Z4", "D4"),    # three fields of order 4
+    ("H32", "S3"),     # fields of orders 4, 2, 2, 2
 ]
 
 
@@ -262,34 +263,47 @@ def test_rows_mul_matches_scalar(ring, group):
         assert tuple(int(v) for v in gb[i]) == lie_bracket(ea[i], eb[i]).coeffs
 
 
+def table_kernels(R, G):
+    """rows_mul, rows_add and rows_neg through R's own tables, in R's ids,
+    with no adder: the reference the adder's sums are held to."""
+    add, mul, neg = (np.asarray(t, dtype=np.intp) for t in (R.add_table, R.mul_table, R._neg))
+    cols = np.asarray(G.table)[np.asarray(G._inv)]          # [g, h] = g^-1 h
+
+    def rows_mul(A, B):
+        out = np.full(A.shape, R.zero, dtype=np.intp)
+        for g in range(G.order):
+            out = add[out, mul[A[:, g:g + 1], B[:, cols[g]]]]
+        return out.astype(np.int16)
+    return rows_mul, lambda A, B: add[A, B].astype(np.int16), lambda A: neg[A].astype(np.int16)
+
+
 @pytest.mark.parametrize("ring,group", ENGINE_CONTEXTS)
 def test_fast_and_generic_folds_agree(ring, group):
+    # the adder's native sums against gathers from the ring's own tables
     rg = make(ring, group)
     base = table_context(rg)
-    forced = TableContext(rg)
-    forced.add_is_xor = False
-    forced.add_is_mod = False
-    forced.fields = None
+    mul, add, neg = table_kernels(rg.ring, rg.group)
     A, _ = rows_and_elements(rg, 80, seed=31)
     B, _ = rows_and_elements(rg, 80, seed=32)
-    for kernel in (rows_mul, rows_add, rows_circle, rows_bracket):
-        got, want = kernel(base, A, B), kernel(forced, A, B)
+    wants = {rows_mul: mul(A, B), rows_add: add(A, B),
+             rows_circle: add(mul(A, B), mul(B, A)),
+             rows_bracket: add(mul(A, B), neg(mul(B, A)))}
+    for kernel, want in wants.items():
+        got = kernel(base, A, B)
         assert got.dtype == want.dtype and np.array_equal(got, want), kernel.__name__
-    got, want = rows_neg(base, A), rows_neg(forced, A)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got = rows_neg(base, A)
+    assert got.dtype == np.int16 and np.array_equal(got, neg(A))
 
 
 # --- the row-blocked fold across block edges ----------------------------------
 
-def fold_kind(ctx):
-    return "xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table"
-
-
 def rows_kind(ctx):
-    """The sum that rows_mul's fold takes; one field is addition mod |R|."""
-    if ctx.add_is_xor or ctx.slots is None:
-        return "xor" if ctx.add_is_xor else "table"
-    return "mod" if len(ctx.fields) == 1 else "native"
+    """The sum that rows_mul's fold takes: XOR, one field mod |R|, or
+    several fields in slots ("native"); "table" marks a ring whose own ids
+    do not add per field, so that its context renumbers them."""
+    if not np.array_equal(ctx.adder.ids, np.arange(ctx.nr)):
+        return "table"
+    return "xor" if ctx.adder.xor else "mod" if len(ctx.adder.fields) == 1 else "native"
 
 
 def read_only_rows(rg, count, seed):
@@ -302,23 +316,23 @@ def read_only_rows(rg, count, seed):
 def check_fold_across_block_edges(rg, kind):
     """rows_mul at 0 and 1 rows, one row either side of a block, one full
     block, and several blocks with a partial last one: int16, C-contiguous,
-    equal to the forced table-addition fold on every row and to gr_mul on
-    the rows at the block edges."""
+    equal to the fold through the ring's own tables on every row and to
+    gr_mul on the rows at the block edges.  Rows are drawn in ring ids and
+    mapped through the context's numbering."""
     ctx = table_context(rg)
     assert rows_kind(ctx) == kind
-    forced = TableContext(rg)
-    forced.add_is_xor = forced.add_is_mod = False
-    forced.fields = None
-    assert rows_kind(forced) == "table"
+    table_mul = table_kernels(rg.ring, rg.group)[0]
+    canon, ids = ctx.adder.canon, ctx.adder.ids
     ng = rg.group.order
     block = max(1, eng._FOLD_CELLS // ng)
     for count in (0, 1, block - 1, block, block + 1, 3 * block + 5):
         A = read_only_rows(rg, count, seed=count)
         B = read_only_rows(rg, count, seed=count + 7)
-        got = rows_mul(ctx, A, B)
+        got = rows_mul(ctx, canon[A], canon[B])
         assert got.dtype == np.int16 and got.flags.c_contiguous, count
         assert got.shape == (count, ng), count
-        assert np.array_equal(got, rows_mul(forced, A, B)), count
+        got = ids[got]
+        assert np.array_equal(got, table_mul(A, B)), count
         edges = {i for lo in range(0, count, block) for i in (lo, lo + block - 1)}
         for i in sorted(i for i in edges | {count - 1} if 0 <= i < count):
             want = gr_mul(rg.element([int(v) for v in A[i]]),
@@ -330,7 +344,7 @@ def check_fold_across_block_edges(rg, kind):
     ("M2F2", "D4", "xor"), ("M2F2", "D4xD4", "xor"),
     ("Z8", "D4", "mod"), ("Z8", "D4xD4", "mod"),
     ("T2Z4", "D4", "native"), ("T2Z4", "D4xD4", "native"),
-    ("Z4'", "D4", "table"), ("Z4'", "D4xD4", "table"),
+    ("Z4'", "D4", "table"), ("Z4'", "D4xD4", "table"),   # renumbered, then one field
 ])
 def test_fold_across_block_edges(ring, group, kind):
     R = relabelled_z4() if ring == "Z4'" else builtin_ring(ring)
@@ -340,12 +354,17 @@ def test_fold_across_block_edges(ring, group, kind):
 @pytest.mark.parametrize("ring,fields", [
     ("Z2", (2,)), ("Z4", (4,)), ("Z8", (8,)), ("Z16", (16,)),
     ("M2F2", (2, 2, 2, 2)), ("T2F2", (2, 2, 2)), ("T2Z4", (4, 4, 4)),
-    ("H16", (2, 2, 2, 2)), ("H32", (4, 2, 2, 2)), ("U4F2", (2,) * 7), ("Z4'", None),
+    ("H16", (2, 2, 2, 2)), ("H32", (4, 2, 2, 2)), ("U4F2", (2,) * 7), ("Z4'", (4,)),
 ])
 def test_ring_fields_are_detected(ring, fields):
+    # every built-in ring, and U4F2, is numbered canonically already; Z4'
+    # lists 0, 1, 3, 2, which its context renumbers as 0, 1, 2, 3
     R = {"U4F2": scalar_plus_strict_upper_4x4_gf2, "Z4'": relabelled_z4}.get(
         ring, functools.partial(builtin_ring, ring))()
-    assert table_context(GroupRing(R, builtin_group("C2"))).fields == fields
+    adder = table_context(GroupRing(R, builtin_group("C2"))).adder
+    assert adder.fields == fields
+    assert adder.ids.tolist() == ([0, 1, 3, 2] if ring == "Z4'" else list(range(R.order)))
+    assert np.array_equal(adder.canon[adder.ids], np.arange(R.order))
 
 
 def test_native_fold_slots_at_their_bound():
@@ -354,7 +373,7 @@ def test_native_fold_slots_at_their_bound():
     # id 63 (3 in every field) sums 18 = 2 mod 4 in every field, id 42.
     rg = make("T2Z4", "S3")
     ctx = table_context(rg)
-    assert ctx.slots[0].dtype == np.int16 and rows_kind(ctx) == "native"
+    assert ctx.adder.encode(ctx.rmul, 6)[0].dtype == np.int16 and rows_kind(ctx) == "native"
     ones = np.full((3, 6), rg.ring.one, dtype=np.int16)
     top = np.full((3, 6), 63, dtype=np.int16)
     assert (rows_mul(ctx, ones, top) == 42).all()
@@ -362,11 +381,13 @@ def test_native_fold_slots_at_their_bound():
 
 
 def test_fold_falls_back_when_slots_overflow_int32():
-    # H32 over C128: 9 + 3 * 8 slot bits do not fit int32, so the fold adds
-    # through the table, and still matches gr_mul at the block edges.
+    # H32 over C128: 9 + 3 * 8 slot bits do not fit int32, so the fold sums
+    # in int64, and still matches gr_mul at the block edges.
     rg = GroupRing(builtin_ring("H32"), cyclic_group(128))
-    assert table_context(rg).fields == (4, 2, 2, 2)
-    check_fold_across_block_edges(rg, "table")
+    ctx = table_context(rg)
+    assert ctx.adder.fields == (4, 2, 2, 2)
+    assert ctx.adder.encode(ctx.rmul, 128)[0].dtype == np.int64
+    check_fold_across_block_edges(rg, "native")
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,7 +400,8 @@ def test_mod_fold_with_an_int32_total():
     # |G| (|R| - 1) = 128 * 257 overflows int16, so the mod fold sums in int32
     rg = zmod_over_c128(258)
     assert rg.group.order * (rg.ring.order - 1) > np.iinfo(np.int16).max
-    assert table_context(rg).slots[0].dtype == np.int32
+    ctx = table_context(rg)
+    assert ctx.adder.encode(ctx.rmul, 128)[0].dtype == np.int32
     check_fold_across_block_edges(rg, "mod")
     # random rows stay far below the bound; 1 * 257 in every term reaches it
     ones = np.full((3, 128), rg.ring.one, dtype=np.int16)
@@ -451,7 +473,8 @@ def test_product_with_row_int16_boundary(order, op):
     # for both orders, though the fold's 128 * 128 does not for Z129.
     rg = zmod_over_c128(order)
     ctx = table_context(rg)
-    assert ctx.add_is_mod and 2 * 128 * (order - 1) > np.iinfo(np.int16).max
+    assert ctx.adder.fields == (order,) and 2 * 128 * (order - 1) > np.iinfo(np.int16).max
+    assert ctx.adder.encode(ctx.rmul, 256)[0].dtype == np.int32
     top = np.full(128, order - 1, dtype=np.int16)
     ones = np.full(128, rg.ring.one, dtype=np.int16)
     rows = np.stack([top, ones, top])
@@ -469,7 +492,7 @@ def test_product_with_row_across_row_blocks(monkeypatch, ring, group, op):
     rg = make(ring, group)
     ctx = table_context(rg)
     k = 5
-    itemsize = 2 if ctx.add_is_xor or ctx.add_is_mod else np.dtype(np.intp).itemsize
+    itemsize = ctx.adder.encode(ctx.rmul, 2 * rg.group.order)[0].itemsize   # 4 on T2Z4
     monkeypatch.setattr(eng, "_TERM_BYTES", 3 * rg.group.order * k * itemsize)
     P, _ = rows_and_elements(rg, 7, seed=71)
     block, _ = rows_and_elements(rg, k, seed=72)
@@ -535,34 +558,25 @@ def test_unique_rows_keep_first_survives_total_key_collision(monkeypatch):
     assert calls == [(500, width) for width in (1, 6, 8, 64)]
 
 
-def relabelled_ring(R, shift):
-    """R with every element index moved up by shift mod |R|, so that zero
-    is no longer index 0."""
-    n = R.order
-    old = (np.arange(n) - shift) % n              # [new index] = old index
-    add = (np.asarray(R.add_table)[np.ix_(old, old)] + shift) % n
-    mul = (np.asarray(R.mul_table)[np.ix_(old, old)] + shift) % n
-    return FiniteRing(R.name + "'", add.tolist(), mul.tolist(),
-                      (R.zero + shift) % n, (R.one + shift) % n)
-
-
 @pytest.mark.parametrize("group", ["C1", "C2", "S3", "D4", "D4xD4"])
 @pytest.mark.parametrize("ring,shift", [("Z4", 0), ("M2F2", 0), ("T2Z4", 5)])
 def test_zero_row_mask_matches_entrywise_compare(ring, shift, group):
     # widths 1, 2, 6, 8 and 64: below a word, a non-word width, and whole
-    # words; the shifted ring has a zero index of 5, set in every lane
+    # words; the shifted ring has a zero index of 5, set in every lane, which
+    # its context numbers 0 as it numbers every zero
     R = builtin_ring(ring)
     if shift:
-        R = relabelled_ring(R, shift)
+        R = permuted_ring(R, (np.arange(R.order) + shift) % R.order)
     ctx = TableContext(GroupRing(R, builtin_group(group)))
-    ng, zero = ctx.ng, ctx.rzero
+    ng, zero = ctx.ng, R.zero
+    assert ctx.adder.canon[zero] == 0
     rng = np.random.default_rng(ng)
     random = rng.integers(0, ctx.nr, size=(200, ng)).astype(np.int16)
     random[::7] = zero
     lanes = np.full((ng, ng), zero, dtype=np.int16)   # row j: nonzero at j only
     lanes[np.arange(ng), np.arange(ng)] = (zero + 1) % ctx.nr
     rows = np.concatenate([random, np.full((3, ng), zero, dtype=np.int16), lanes])
-    got = ctx.zero_row_mask(rows)
+    got = ctx.zero_row_mask(ctx.adder.canon[rows])
     assert got.dtype == bool
     assert np.array_equal(got, (rows == zero).all(axis=1))
     assert not got[-ng:].any() and got[200:203].all()
@@ -648,6 +662,8 @@ def test_scan_final_level_blocked_jobs_agree(monkeypatch):
 
 # --- the coefficient-grouped monomial kernel ----------------------------------
 
+# How each ring's own ids add (see id_addition): the last two add per
+# field, several fields to an id.
 KERNEL_CONTEXTS = [
     ("M2F2", "D4", "xor"),
     ("Z8", "D4", "mod"),
@@ -674,7 +690,7 @@ def shuffled_monomials(rg, seed):
 def test_candidate_block_matches_scalar(monkeypatch, ring, group, kind, op, tile):
     rg = make(ring, group)
     ctx = TableContext(rg)   # a fresh context holds no plan from another tile size
-    assert fold_kind(ctx) == kind
+    assert id_addition(rg.ring) == kind
     if tile is not None:
         monkeypatch.setattr(eng, "_TILE_CELLS", tile * rg.group.order)
     P, els = rows_and_elements(rg, 7, seed=101)

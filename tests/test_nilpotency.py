@@ -31,7 +31,7 @@ from jrl.nilpotency import (
 )
 from jrl.rings import BUILTIN_RING_NAMES, FiniteRing, builtin_ring, zmod_ring
 
-from support_rings import relabelled_z4, scalar_plus_strict_upper_4x4_gf2
+from support_rings import id_addition, relabelled_z4, scalar_plus_strict_upper_4x4_gf2
 
 
 def make(ring, group):
@@ -283,7 +283,9 @@ def test_exhaustive_check_agrees_with_spanning_decision():
 
 # Z2[S3] is the non-abelian one: g^-1 h differs from h g^-1 there, so a
 # convolution index taken the wrong way round shows.  Z6[C2] reduces its
-# plane sums by np.remainder (an order that is not a power of two).
+# plane sums by np.remainder (an order that is not a power of two).  The
+# kind is how the ring's own ids add (see id_addition); T2Z4 and H32 add
+# per field, several fields to an id.
 TABLE_CONTEXTS = [("Z2", "C2", "xor"), ("Z4", "C2", "mod"),
                   ("T2Z4", "C1", "table"), ("H32", "C1", "table"),
                   ("Z2", "S3", "xor"), ("Z6", "C2", "mod")]
@@ -325,14 +327,16 @@ def batch_table(monkeypatch, rg, rows):
 
 
 def scalar_ids(rg):
-    """Element i of rg by its base-|R| digits, and the id of an element."""
+    """Element i of rg by its base-|R| digits, which are canonical ring ids,
+    and the id of an element."""
     nr, ng = rg.ring.order, rg.group.order
+    adder = _engine.table_context(rg).adder
 
     def element(i):
-        return rg.element([(i // nr ** g) % nr for g in range(ng)])
+        return rg.element([int(adder.ids[(i // nr ** g) % nr]) for g in range(ng)])
 
     def element_id(e):
-        return sum(c * nr ** g for g, c in enumerate(e.coeffs))
+        return sum(int(adder.canon[c]) * nr ** g for g, c in enumerate(e.coeffs))
 
     return element, element_id
 
@@ -347,8 +351,7 @@ def scalar_ids(rg):
 ])
 def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind, rows):
     rg = make_any(ring, group)
-    ctx = _engine.table_context(rg)
-    assert kind == ("xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table")
+    assert kind == id_addition(rg.ring)
     table, zero_id = batch_table(monkeypatch, rg, rows)
     element, element_id = scalar_ids(rg)
     els = [element(i) for i in range(rg.size)]
@@ -358,10 +361,10 @@ def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind,
             assert table[a, b] == element_id(circle(els[a], els[b]))
 
 
-# T2Z4[C2] sums through the addition table with a coordinate step (|G| = 2);
+# T2Z4[C2] sums three fields at once, with a coordinate step (|G| = 2);
 # Z3[S3] reduces by np.remainder, in an odd radix, over a non-abelian group,
-# with five outer-sum steps per plane; Z4'[C2xC2] sums through the addition
-# table in three steps per plane, two of them into the buffer of earlier steps.
+# with five outer-sum steps per plane; Z4'[C2xC2], renumbered, sums in three
+# steps per plane, two of them into the buffer of earlier steps.
 # Too large for a full compare, each is checked on seeded pairs and a few
 # whole rows.
 @pytest.mark.parametrize("ring,group,kind,rows", [
@@ -371,8 +374,7 @@ def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind,
 ])
 def test_full_circle_table_sampled_against_scalar_circle(monkeypatch, ring, group, kind, rows):
     rg = make_any(ring, group)
-    ctx = _engine.table_context(rg)
-    assert kind == ("xor" if ctx.add_is_xor else "mod" if ctx.add_is_mod else "table")
+    assert kind == id_addition(rg.ring)
     table, zero_id = batch_table(monkeypatch, rg, rows)
     element, element_id = scalar_ids(rg)
     assert zero_id == element_id(rg.zero())
