@@ -7,7 +7,9 @@ two fresh processes, pinned to one CPU with MALLOC_MMAP_THRESHOLD_=131072
 (the benchmark's allocator setting), alternating which copy goes first.
 One process times, end to end, run_identity_suite on the four `identities`
 workload items and on all 81 built-in (ring, group) contexts (criterion 2
-of tests/test_acceptance.py), building each GroupRing outside the timer.
+of tests/test_acceptance.py), and the search against exhaustive_check at
+degrees 2-4 on the 31 contexts of at most 4096 elements (criterion 3),
+building each GroupRing outside the timer.
 The other times layers on a heap that no suite has used, as the history
 of earlier allocations moves in-process times: the median of
 several calls of rows_mul (the fold), rows_add and rows_neg on 1667 x 64
@@ -26,6 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITEMS = [("Z8", "C2"), ("Z2", "D4"), ("M2F2", "D4xD4"), ("T2Z4", "D4xD4")]
 RINGS = ("T2Z4", "H32", "M2F2", "Z16")   # over D4xD4
 TABLES = [("T2Z4", "C2"), ("H32", "C2"), ("Z8", "C4")]
+CRITERIA = ("criterion2_s", "criterion3_s")
 
 
 def layers():
@@ -64,10 +67,11 @@ def layers():
 
 
 def suite():
-    """ms per item and s for the 81 contexts."""
+    """ms per item, and s for criteria 2 and 3."""
     from jrl.groupring import GroupRing
     from jrl.groups import BUILTIN_GROUP_NAMES, builtin_group
     from jrl.identities import run_identity_suite
+    from jrl.nilpotency import EXHAUSTIVE_CAP, exhaustive_check, spanning_set, vanishes_left_normed
     from jrl.rings import BUILTIN_RING_NAMES, builtin_ring
 
     def timed(r, g):
@@ -77,7 +81,16 @@ def suite():
         return time.perf_counter() - start
     items = {f"{r}[{g}]": timed(r, g) * 1e3 for r, g in ITEMS}
     total = sum(timed(r, g) for r in BUILTIN_RING_NAMES for g in BUILTIN_GROUP_NAMES)
-    return {"items_ms": items, "criterion2_s": total}
+    small = [rg for rg in (GroupRing(builtin_ring(r), builtin_group(g))
+                           for r in BUILTIN_RING_NAMES for g in BUILTIN_GROUP_NAMES)
+             if rg.size <= EXHAUSTIVE_CAP]
+    start = time.perf_counter()
+    for rg in small:
+        S = spanning_set(rg)
+        for n in (2, 3, 4):
+            assert exhaustive_check(rg, n) == bool(vanishes_left_normed(S, n)), (rg.name, n)
+    return {"items_ms": items, "criterion2_s": total,
+            "criterion3_s": time.perf_counter() - start}
 
 
 def main(argv):
@@ -105,8 +118,8 @@ def main(argv):
             "repeats": len(rs),
             "items_ms": {k: round(median(r["items_ms"][k] for r in rs), 1)
                          for k in rs[0]["items_ms"]},
-            "criterion2_s": round(median(r["criterion2_s"] for r in rs), 3),
-            "criterion2_s_all": [round(r["criterion2_s"], 3) for r in rs],
+            **{k: round(median(r[k] for r in rs), 3) for k in CRITERIA},
+            **{k + "_all": [round(r[k], 3) for r in rs] for k in CRITERIA},
             "layers_ms": {k: round(median(r["layers_ms"][k] for r in rs), 3)
                           for k in rs[0]["layers_ms"]}}
     with open(path, "w") as f:

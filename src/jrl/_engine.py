@@ -5,8 +5,9 @@ element.  Everything here is a faithful restatement of the scalar
 arithmetic in groupring.py; the test suite pins the two against each
 other on sampled inputs.
 
-The kernels work in each ring's canonical ids, where zero is 0, and add
-only through the ring's Adder.  Ring ids enter at one boundary, the
+Each ring is numbered once, as a direct sum of cyclic fields, and the
+kernels work in those canonical ids, where zero is 0, adding only
+through an Adder over the fields.  Ring ids enter at one boundary, the
 monomials of a search (TableContext.mono_rows and the monomial plan).  A
 search reports monomial indices and the full-space check counts values,
 so no result depends on how a ring numbers its elements.
@@ -21,11 +22,15 @@ final scan stops at the first tile with a nonzero product, taking the
 least (row, monomial) hit across the tile's coefficient groups.  Between
 levels, zero rows are found a word at a time and equal rows merged by
 64-bit keys, each row checked exactly against its key group's first row.
+The full-space circle table takes its terms from product_with_row, the
+circle of rows with every monomial at once: two gathers through the
+same shift tables and one two-term sum.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from math import prod
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -35,7 +40,11 @@ from .groupring import GroupRing
 
 def _cyclic_fields(add: np.ndarray, zero: int) -> Tuple[tuple, np.ndarray]:
     """Orders of cyclic fields whose direct sum is (R, +), and the ring id
-    of each canonical id (see Adder)."""
+    of each canonical id, the Adder id of an element's digits.  The first
+    field is generated by an element of greatest order, lowest id first,
+    each next one by an element of greatest order modulo the fields so far,
+    lifted to one of that order (the fields so far are a direct summand, so
+    one exists).  Each built-in ring is numbered so already."""
     multiples = [np.arange(add.shape[0], dtype=add.dtype)]   # [k - 1, a] = k a, to the exponent
     while (multiples[-1] != zero).any():
         multiples.append(add[multiples[-1], multiples[0]])
@@ -51,35 +60,29 @@ def _cyclic_fields(add: np.ndarray, zero: int) -> Tuple[tuple, np.ndarray]:
 
 
 class Adder:
-    """A ring's canonical numbering, and the one sum that the kernels use.
-
-    (R, +) is a direct sum of cyclic fields: the first generated by an
-    element of greatest order, lowest id first, each next one by an element
-    of greatest order modulo the fields so far, lifted to one of that order
-    (the fields so far are a direct summand, so one exists).  The canonical
-    id of d_0 x_0 + d_1 x_1 + ... is d_0 + m_0 (d_1 + m_1 (...)), so zero is
-    id 0; each built-in ring is numbered so already.  A sum is then a sum
-    per digit: XOR when every field has order 2; for two terms, modulo |R|
-    on one field of order 2^w and ((a&L) + (b&L)) ^ ((a^b)&H) on several (H
-    the top bit of each field, L the bits below).  Other sums spread each
-    term's digits to slots of an int16, int32 or int64 that no sum carries
-    out of, add plainly and decode once, by a mask on a field of order 2^w
-    and a remainder on the others; past int64 they add two terms at a time.
+    """The one sum that the kernels use, over a direct sum of cyclic fields
+    of the given orders.  The id of d_0 x_0 + d_1 x_1 + ... is
+    d_0 + m_0 (d_1 + m_1 (...)), field 0 fastest, so zero is id 0.  A sum is
+    then a sum per digit: XOR when every field has order 2; for two terms,
+    modulo the order on one field of order 2^w and
+    ((a&L) + (b&L)) ^ ((a^b)&H) on several (H the top bit of each field, L
+    the bits below).  Other sums spread each term's digits to slots of an
+    int16, int32 or int64 that no sum carries out of, add plainly and decode
+    once, by a mask on a field of order 2^w and a remainder on the others;
+    past int64 they add two terms at a time.
     """
 
-    def __init__(self, ring):
-        self.fields, self.ids = _cyclic_fields(ring.add_table, ring.zero)
-        self.nr, self.canon = ring.order, np.argsort(self.ids).astype(np.int16)
-        self.rmul = self.canon[ring.mul_table[np.ix_(self.ids, self.ids)]]
-        self.bases = np.cumprod((1,) + self.fields)[:-1].tolist()
-        self.xor = all(m == 2 for m in self.fields)
-        packed = all(m & (m - 1) == 0 for m in self.fields)
-        self.high = sum(b * m // 2 for b, m in zip(self.bases, self.fields)) if packed else None
+    def __init__(self, fields: tuple):
+        self.fields, self.nr = fields, prod(fields)
+        self.bases = np.cumprod((1,) + fields)[:-1].tolist()
+        self.xor = all(m == 2 for m in fields)
+        packed = all(m & (m - 1) == 0 for m in fields)
+        self.high = sum(b * m // 2 for b, m in zip(self.bases, fields)) if packed else None
         self._layouts = {}
 
     def _layout(self, k: int):
         """Slots for k-term sums: per field (order, base, bit offset, width),
-        and each canonical id's encoding; (None, None) under XOR or past int64."""
+        and each id's encoding; (None, None) under XOR or past int64."""
         if k not in self._layouts:
             widths = [(k * (m - 1)).bit_length() for m in self.fields]
             offsets = np.cumsum([0] + widths[:-1]).tolist()
@@ -91,7 +94,7 @@ class Adder:
         return self._layouts[k]
 
     def encode(self, table: np.ndarray, k: int):
-        """table's canonical ids as terms of a k-term sum, and how to add
+        """table's ids as terms of a k-term sum, and how to add
         two: encodings plainly, else ids by XOR or by add."""
         spread = self._layout(k)[1]
         if spread is None:
@@ -99,7 +102,7 @@ class Adder:
         return spread.take(table), np.add
 
     def decode(self, total: np.ndarray, k: int, out: np.ndarray, scratch=None) -> np.ndarray:
-        """The canonical ids of k-term sums, into out; scratch (shaped as
+        """The ids of k-term sums, into out; scratch (shaped as
         total) spares an array per field after the first."""
         slots = self._layout(k)[0]
         if slots is None:
@@ -139,19 +142,30 @@ class Adder:
         return self.add(self.nr - 1 - a, sum(self.bases))
 
 
+def _numbering(ring) -> tuple:
+    """The ring's Adder, the ring id of each canonical id, the canonical id
+    of each ring id, and its products in canonical ids: built at the ring's
+    first context and kept on the ring, holding no reference back."""
+    if getattr(ring, "_numbering", None) is None:
+        fields, ids = _cyclic_fields(ring.add_table, ring.zero)
+        canon = np.argsort(ids).astype(np.int16)
+        ring._numbering = (Adder(fields), ids, canon,
+                           canon[ring.mul_table[np.ix_(ids, ids)]])
+    return ring._numbering
+
+
 class TableContext:
     """numpy handles for one (ring, group) pair, in canonical ring ids.
 
-    adder is the ring's numbering and sum, built once and kept on the ring
-    (it holds no reference back), rmul its products in canonical ids, and
-    gmul the group's own table.  Derived tables are kept here, once: ginv,
-    ginv_cols for the convolution kernels, and the monomial shift tables.
+    adder, ids, canon and rmul are the ring's numbering (see _numbering),
+    and gmul the group's own table.  Derived tables are kept here, once:
+    ginv, ginv_cols for the convolution kernels, and the monomial shift
+    tables.
     """
 
     def __init__(self, rg: GroupRing):
         ring, group = rg.ring, rg.group
-        self.adder = ring._adder = getattr(ring, "_adder", None) or Adder(ring)
-        self.rmul = self.adder.rmul
+        self.adder, self.ids, self.canon, self.rmul = _numbering(ring)
         self.gmul = np.asarray(group.table, dtype=np.int16)
         self.nr = ring.order
         self.ng = group.order
@@ -166,7 +180,7 @@ class TableContext:
     def mono_rows(self, rs: np.ndarray, gs: np.ndarray) -> np.ndarray:
         """The monomials rs[i]*gs[i], rs in ring ids, as rows."""
         rows = np.zeros((len(gs), self.ng), dtype=np.int16)
-        rows[np.arange(len(gs)), gs] = self.adder.canon[rs]
+        rows[np.arange(len(gs)), gs] = self.canon[rs]
         return rows
 
     def zero_row_mask(self, rows: np.ndarray) -> np.ndarray:
@@ -276,57 +290,13 @@ def rows_bracket(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return rows_add(ctx, rows_mul(ctx, A, B), rows_neg(ctx, rows_mul(ctx, B, A)))
 
 
-# product_with_row sums its terms a block of rows at a time, so that its
-# term buffer, every coordinate plane of the block's rows, stays within
-# _TERM_BYTES, as does the running sum beside it.
-_TERM_BYTES = 1 << 17
-
-
-def product_with_row(ctx: TableContext, P: np.ndarray, brow: np.ndarray,
-                     op: str) -> np.ndarray:
-    """circle/bracket of every row of P with one fixed element row, or with
-    each row of a (k, |G|) block: then out[i, j] = P[i] op block[j].
-
-    Pairwise, with no copy of either operand per pair.  The products of
-    P's entries with every ring element are gathered once, as
-    left[g, i, r] = P[i, g] r and right[y, i, r] = r P[i, y] (negated
-    through rows_neg for the bracket).  Coordinate h of the pair (i, j) is
-    then the sum of left[g, i] at block[j, g^-1 h] over g and of right[y, i]
-    at block[j, h y^-1] over y: the 2|G| terms of ab + ba (or ab - ba).
-    Each g (and each y) is one column gather for every plane at once,
-    through an (|G|, k) index of block entries.  Both sides are encoded
-    once as the adder's terms of a 2|G|-term sum, summed as it says into a
-    running sum, and decoded once per block of rows into one (m, |G|, k)
-    buffer, returned as an (m, k, |G|) view, or (m, |G|) for a 1-D brow.
-    """
-    Q = brow if brow.ndim == 2 else brow[None]
-    m, k, ng, adder = P.shape[0], Q.shape[0], ctx.ng, ctx.adder
-    left = ctx.rmul[P.T]                  # [g, i, r] = P[i, g] * r
-    right = ctx.rmul.T[P.T]               # [y, i, r] = r * P[i, y]
-    if op != "circle":
-        right = rows_neg(ctx, right)
-    (left, add), (right, _) = adder.encode(left, 2 * ng), adder.encode(right, 2 * ng)
-    QT = Q.T.astype(np.intp)              # [g] = entry g of every block row
-    # [g, h] = block entries g^-1 h for left[g]; [y, h] = h y^-1 for right[y]
-    at = (QT.take(ctx.left_shift, 0), QT.take(ctx.right_shift, 0))
-    out = np.empty((m, ng, k), dtype=np.int16)
-    rows = max(1, _TERM_BYTES // (max(ng * k, 1) * left.itemsize))
-    term = np.empty((min(m, rows), ng, k), dtype=left.dtype)
-    total = np.empty_like(term)
-    # Every index is in range, so take's mode="clip" changes no value; it
-    # only spares numpy the copy of out that mode="raise" makes.
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        t, acc = term[:hi - lo], total[:hi - lo]
-        steps = [(side[g, lo:hi], cols[g]) for side, cols in zip((left, right), at)
-                 for g in range(ng)]
-        for i, (src, cols) in enumerate(steps):
-            src.take(cols, 1, t if i else acc, "clip")
-            if i:
-                add(acc, t, out=acc)
-        adder.decode(acc, 2 * ng, out[lo:hi], t)
-    prod = out.transpose(0, 2, 1)
-    return prod if brow.ndim == 2 else prod[:, 0, :]
+def product_with_row(ctx: TableContext, P: np.ndarray) -> np.ndarray:
+    """Every row of P circled with every monomial v x, as [i, h, x, v] =
+    coordinate h of P[i] o (v x) = P[i, h x^-1] v + v P[i, x^-1 h]: one
+    gather of the products per side, through the monomial shift tables,
+    and one two-term sum."""
+    left = ctx.rmul[P[:, ctx.right_shift.T]]      # [i, h, x, v] = P[i, h x^-1] v
+    return ctx.adder.add(left, ctx.rmul.T[P[:, ctx.left_shift.T]], out=left)
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +381,7 @@ class _MonomialPlan:
         ng = ctx.ng
         pairs = np.asarray(monos, dtype=np.intp).reshape(-1, 2)
         self.gs = pairs[:, 1]
-        rs = ctx.adder.canon[pairs[:, 0]].tolist()
+        rs = ctx.canon[pairs[:, 0]].tolist()
         distinct = list(dict.fromkeys(rs))
         right = ctx.rmul.T[distinct]                    # [i, p] = p r_i
         left = ctx.rmul[distinct]                       # [i, p] = r_i p

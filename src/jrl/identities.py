@@ -78,7 +78,7 @@ def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tu
     context's canonical ring ids.  The element checks take rows, or ids
     when element_ids is given."""
     ctx = _engine.table_context(rg)
-    ng, nr, rmul, one = ctx.ng, ctx.nr, ctx.rmul, int(ctx.adder.canon[rg.ring.one])
+    ng, nr, rmul, one = ctx.ng, ctx.nr, ctx.rmul, int(ctx.canon[rg.ring.one])
     add, neg, mul, circle, bracket = (partial(f, ctx) for f in (
         _engine.rows_add, _engine.rows_neg, _engine.rows_mul, _engine.rows_circle,
         _engine.rows_bracket))

@@ -187,9 +187,10 @@ def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
 
 # Bytes of buffers that one batch of circle-table rows may hold; a row
 # takes at most _table_row_bytes of them.  At 2^19 a 4096-element context
-# fills its 32 MB table in 133 to 216 batches, and a build's transient
-# memory stays under 0.7 MB.  Those builds took 1.2-1.5 times as long at
-# 2^18, and no less at 2^20.
+# fills its 32 MB table in 78 to 90 batches, and a build's transient
+# memory stays under 0.5 MB.  On one CPU with a 128 KB mmap threshold,
+# those builds took up to 1.1 times as long at 2^18 and 1.7 at 2^17, and
+# no less at 2^20 or 2^21.
 _TABLE_BATCH_BYTES = 1 << 19
 
 # Table rows marked per step of the exhaustive level walk.
@@ -197,11 +198,15 @@ _LEVEL_BLOCK_ROWS = 16
 
 
 def _table_row_bytes(ctx: _engine.TableContext) -> int:
-    """A table row's share of a batch's buffers, at most: in int16, one
-    full-row plane, the earlier steps of its outer sum (half a row at most)
-    and the sums' temporaries (half a row at most); and per plane and
-    monomial, product_with_row's output."""
-    return 4 * ctx.nr ** ctx.ng + 2 * ctx.ng ** 2 * ctx.nr
+    """A table row's share of a batch's transient buffers, at most.  Per
+    cell of the row: the outer sum's earlier steps and its sums'
+    temporaries, 2 bytes where the ring's fields add natively (XOR or
+    2^w fields) and 20 where the adder spreads digits to int32 slots and
+    decodes them through an intp scratch.  Per plane and monomial:
+    product_with_row's two gathers and their sum's temporaries, 12 bytes
+    natively and 20 spread."""
+    native = ctx.adder.xor or ctx.adder.high is not None
+    return (2 if native else 20) * ctx.nr ** ctx.ng + (12 if native else 20) * ctx.ng ** 2 * ctx.nr
 
 
 def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
@@ -212,13 +217,14 @@ def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
     Plane h of a o b is the sum over x in G of a_{h x^-1} b_x + b_x a_{x^-1 h},
     and the two terms that hold b_x are plane h of a o (b_x x), the product
     with the monomial b_x x.  So one product_with_row call per batch of
-    rows, against the |R| |G| monomials v x, gives every term the batch
-    needs.  The columns are the elements in id order (canonical ring ids,
-    coordinate 0 fastest), so each plane of the batch's full rows is an
-    outer sum built one coordinate at a time by the ring's adder, the new
-    coordinate on the outer axis so that numpy's inner loop grows to the
-    row length.  Ids are encoded plane by plane in int16 (Horner over the
-    coordinates); zero is id 0.
+    rows gives every term the batch needs, and each term's planes are
+    encoded as one element id.  An element id is the base-|R| number of its
+    coordinates, coordinate 0 fastest, each a canonical ring id: the
+    mixed-radix number over the ring's fields repeated |G| times, so
+    Adder(fields * |G|) sums whole elements.  Row a of the table is then one
+    outer sum over x of the ids of a o (v x), built one coordinate at a
+    time, the new coordinate on the outer axis so that numpy's inner loop
+    grows to the row length; zero is id 0.
 
     Each entry's defining sum is only regrouped by the coordinate of b,
     which uses that + is commutative and associative; the monomials' other
@@ -233,37 +239,21 @@ def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
     nr, ng = ctx.nr, ctx.ng
     size = nr ** ng
     rows = _engine.element_rows(ctx)
-    monos = np.zeros((ng, nr, ng), dtype=np.int16)    # [x, v] = v x
-    monos[np.arange(ng), :, np.arange(ng)] = np.arange(nr)
+    adder = _engine.Adder(ctx.adder.fields * ng)
+    powers = (nr ** np.arange(ng)).astype(np.int16)   # exact: size <= EXHAUSTIVE_CAP
     table = np.empty((size, size), dtype=np.int16)
     step = max(1, _TABLE_BATCH_BYTES // _table_row_bytes(ctx))
-    m = min(step, size)
-    # a plane below the top one, and the earlier steps of a plane's outer
-    # sum (a step that reads the buffer it writes gets a copy of its input
-    # from numpy)
-    last = np.empty(m * size, dtype=np.int16) if ng > 1 else None
-    early = np.empty(m * size // nr, dtype=np.int16) if ng > 2 else None
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         n = hi - lo
-        prod = _engine.product_with_row(ctx, rows[lo:hi], monos.reshape(-1, ng), "circle")
-        terms = prod.transpose(0, 2, 1).reshape(n, ng, ng, nr)     # [i, h, x, v]
-        ids = table[lo:hi]
-        lower = last[:n * size].reshape(n, size) if ng > 1 else None
-        early_out = [early[:n * nr ** (x + 1)].reshape(n, nr, -1) for x in range(1, ng - 1)]
-        for h in range(ng - 1, -1, -1):
-            plane = ids if h == ng - 1 else lower
-            coords = terms[:, h]
-            total = coords[:, 0]
-            for x in range(1, ng):
-                out = early_out[x - 1] if x < ng - 1 else plane.reshape(n, nr, -1)
-                ctx.adder.add(coords[:, x, :, None], total[:, None], out=out)
-                total = out.reshape(n, -1)
-            if ng == 1:
-                plane[...] = total
-            if h < ng - 1:
-                ids *= nr
-                ids += plane
+        terms = _engine.product_with_row(ctx, rows[lo:hi])           # [i, h, x, v]
+        ids = np.einsum("ihxv,h->ixv", terms, powers)                # [i, x, v]
+        total = ids[:, 0]
+        for x in range(1, ng):
+            out = table[lo:hi].reshape(n, nr, -1) if x == ng - 1 else None
+            total = adder.add(ids[:, x, :, None], total[:, None], out=out).reshape(n, -1)
+        if ng == 1:
+            table[lo:hi] = total
     context._full_circle = (table, 0)
     return table, 0
 

@@ -301,7 +301,7 @@ def rows_kind(ctx):
     """The sum that rows_mul's fold takes: XOR, one field mod |R|, or
     several fields in slots ("native"); "table" marks a ring whose own ids
     do not add per field, so that its context renumbers them."""
-    if not np.array_equal(ctx.adder.ids, np.arange(ctx.nr)):
+    if not np.array_equal(ctx.ids, np.arange(ctx.nr)):
         return "table"
     return "xor" if ctx.adder.xor else "mod" if len(ctx.adder.fields) == 1 else "native"
 
@@ -322,7 +322,7 @@ def check_fold_across_block_edges(rg, kind):
     ctx = table_context(rg)
     assert rows_kind(ctx) == kind
     table_mul = table_kernels(rg.ring, rg.group)[0]
-    canon, ids = ctx.adder.canon, ctx.adder.ids
+    canon, ids = ctx.canon, ctx.ids
     ng = rg.group.order
     block = max(1, eng._FOLD_CELLS // ng)
     for count in (0, 1, block - 1, block, block + 1, 3 * block + 5):
@@ -361,10 +361,10 @@ def test_ring_fields_are_detected(ring, fields):
     # lists 0, 1, 3, 2, which its context renumbers as 0, 1, 2, 3
     R = {"U4F2": scalar_plus_strict_upper_4x4_gf2, "Z4'": relabelled_z4}.get(
         ring, functools.partial(builtin_ring, ring))()
-    adder = table_context(GroupRing(R, builtin_group("C2"))).adder
-    assert adder.fields == fields
-    assert adder.ids.tolist() == ([0, 1, 3, 2] if ring == "Z4'" else list(range(R.order)))
-    assert np.array_equal(adder.canon[adder.ids], np.arange(R.order))
+    ctx = table_context(GroupRing(R, builtin_group("C2")))
+    assert ctx.adder.fields == fields
+    assert ctx.ids.tolist() == ([0, 1, 3, 2] if ring == "Z4'" else list(range(R.order)))
+    assert np.array_equal(ctx.canon[ctx.ids], np.arange(R.order))
 
 
 def test_native_fold_slots_at_their_bound():
@@ -424,81 +424,56 @@ def test_product_with_monomial_matches_scalar(ring, group, op):
                 assert tuple(int(v) for v in got[i]) == scalar(e, mono).coeffs
 
 
-@pytest.mark.parametrize("ring,group", ENGINE_CONTEXTS)
-@pytest.mark.parametrize("op", ["circle", "bracket"])
-def test_product_with_row_matches_scalar(ring, group, op):
-    rg = make(ring, group)
+def any_ring(name):
+    """A built-in ring, or Z3, Z6 or the relabelled Z4'."""
+    return {"Z3": functools.partial(zmod_ring, 3), "Z6": functools.partial(zmod_ring, 6),
+            "Z4'": relabelled_z4}.get(name, functools.partial(builtin_ring, name))()
+
+
+# xor, one field, packed fields, an odd radix, and a renumbered ring
+@pytest.mark.parametrize("ring,group", ENGINE_CONTEXTS + [("Z3", "S3"), ("Z4'", "D4")])
+def test_product_with_row_matches_scalar(ring, group):
+    # [i, h, x, v] is coordinate h of row i circled with the monomial v x,
+    # in canonical ids; read-only rows, so an in-place write raises
+    rg = GroupRing(any_ring(ring), builtin_group(group))
     ctx = table_context(rg)
-    P, els = rows_and_elements(rg, 12, seed=61)
-    brow, bels = rows_and_elements(rg, 1, seed=62)
-    scalar = circle if op == "circle" else lie_bracket
-    got = product_with_row(ctx, P, brow[0], op)
-    for i, e in enumerate(els):
-        assert tuple(int(v) for v in got[i]) == scalar(e, bels[0]).coeffs
-    block, bels = rows_and_elements(rg, 3, seed=63)
-    got = product_with_row(ctx, P, block, op)
-    assert got.shape == (12, 3, rg.group.order)
-    for i, e in enumerate(els):
-        for j, b in enumerate(bels):
-            assert tuple(int(v) for v in got[i, j]) == scalar(e, b).coeffs
-
-
-def pairwise_reference(ctx, P, block, op):
-    """product_with_row by its definition: the row-aligned circle or
-    bracket of np.repeat/np.tile copies of the two operands."""
-    m, k = P.shape[0], block.shape[0]
-    kernel = rows_circle if op == "circle" else rows_bracket
-    return kernel(ctx, np.repeat(P, k, axis=0), np.tile(block, (m, 1))).reshape(m, k, ctx.ng)
-
-
-def check_product_with_row(ctx, P, block, op):
-    """2-D and 1-D product_with_row equal the reference, on read-only inputs."""
-    P, block = P.copy(), block.copy()
+    nr, ng, ids = ctx.nr, ctx.ng, ctx.ids
+    P, els = rows_and_elements(rg, 4, seed=61)
+    P = ctx.canon[P]
     P.setflags(write=False)
-    block.setflags(write=False)
-    want = pairwise_reference(ctx, P, block, op)
-    got = product_with_row(ctx, P, block, op)
-    assert got.dtype == np.int16 and got.shape == want.shape
-    assert np.array_equal(got, want)
-    for j in range(block.shape[0]):
-        got = product_with_row(ctx, P, block[j], op)
-        assert got.shape == (P.shape[0], ctx.ng)
-        assert np.array_equal(got, want[:, j]), j
+    got = product_with_row(ctx, P)
+    assert got.dtype == np.int16 and got.shape == (4, ng, ng, nr)
+    for i, e in enumerate(els):
+        for x in range(ng):
+            for v in range(nr):
+                want = circle(e, rg.embed(int(ids[v]), x)).coeffs
+                assert tuple(int(c) for c in ids[got[i, :, x, v]]) == want, (i, x, v)
 
 
-@pytest.mark.parametrize("order", [129, 258])
-@pytest.mark.parametrize("op", ["circle", "bracket"])
-def test_product_with_row_int16_boundary(order, op):
-    # The pairwise sum has 2|G| terms: 2 * 128 * (|R| - 1) overflows int16
-    # for both orders, though the fold's 128 * 128 does not for Z129.
-    rg = zmod_over_c128(order)
+# contexts whose element ids add by XOR, by one field mod 8, by packed
+# fields (Z8[C4] and T2Z4[C2] have 4096 elements), by slots in an odd
+# radix, and in a renumbered ring
+ADDER_CONTEXTS = [("Z2", "C8"), ("Z8", "C1"), ("Z8", "C4"), ("T2Z4", "C2"), ("H32", "C2"),
+                  ("Z3", "S3"), ("Z6", "C4"), ("Z4'", "S3")]
+
+
+@seed(20261020)
+@settings(max_examples=80, deadline=None, database=None)
+@given(context=st.sampled_from(ADDER_CONTEXTS), data=st.data())
+def test_group_ring_adder_sums_element_ids(context, data):
+    # Adder(fields * |G|) on element ids against the ring's own addition
+    # on every coordinate of element_rows
+    ring, group = context
+    rg = GroupRing(any_ring(ring), builtin_group(group))
     ctx = table_context(rg)
-    assert ctx.adder.fields == (order,) and 2 * 128 * (order - 1) > np.iinfo(np.int16).max
-    assert ctx.adder.encode(ctx.rmul, 256)[0].dtype == np.int32
-    top = np.full(128, order - 1, dtype=np.int16)
-    ones = np.full(128, rg.ring.one, dtype=np.int16)
-    rows = np.stack([top, ones, top])
-    check_product_with_row(ctx, rows, rows[::-1], op)
-    if op == "circle":   # 2|G| terms of (|R| - 1) * 1 each
-        got = product_with_row(ctx, top[None], ones, op)
-        assert (got == -2 * 128 % order).all()
-
-
-@pytest.mark.parametrize("ring,group", [("M2F2", "D4"), ("Z8", "D4"), ("T2Z4", "D4")])
-@pytest.mark.parametrize("op", ["circle", "bracket"])
-def test_product_with_row_across_row_blocks(monkeypatch, ring, group, op):
-    # three rows per block of the term buffer, so seven rows end in a
-    # partial block
-    rg = make(ring, group)
-    ctx = table_context(rg)
-    k = 5
-    itemsize = ctx.adder.encode(ctx.rmul, 2 * rg.group.order)[0].itemsize   # 4 on T2Z4
-    monkeypatch.setattr(eng, "_TERM_BYTES", 3 * rg.group.order * k * itemsize)
-    P, _ = rows_and_elements(rg, 7, seed=71)
-    block, _ = rows_and_elements(rg, k, seed=72)
-    check_product_with_row(ctx, P, block, op)
-    assert product_with_row(ctx, P, block[:0], op).shape == (7, 0, rg.group.order)
-    assert product_with_row(ctx, P[:0], block, op).shape == (0, k, rg.group.order)
+    size = rg.size
+    ids = st.integers(0, size - 1) | st.integers(max(0, size - 4), size - 1)
+    pairs = np.array(data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40)),
+                     dtype=np.int16)
+    got = eng.Adder(ctx.adder.fields * ctx.ng).add(pairs[:, 0], pairs[:, 1])
+    rows, add = eng.element_rows(ctx), np.asarray(rg.ring.add_table)
+    want = ctx.canon[add[ctx.ids[rows[pairs[:, 0]]], ctx.ids[rows[pairs[:, 1]]]]]
+    assert got.dtype == np.int16 and np.array_equal(rows[got], want)
 
 
 def test_unique_rows_keep_first():
@@ -569,14 +544,14 @@ def test_zero_row_mask_matches_entrywise_compare(ring, shift, group):
         R = permuted_ring(R, (np.arange(R.order) + shift) % R.order)
     ctx = TableContext(GroupRing(R, builtin_group(group)))
     ng, zero = ctx.ng, R.zero
-    assert ctx.adder.canon[zero] == 0
+    assert ctx.canon[zero] == 0
     rng = np.random.default_rng(ng)
     random = rng.integers(0, ctx.nr, size=(200, ng)).astype(np.int16)
     random[::7] = zero
     lanes = np.full((ng, ng), zero, dtype=np.int16)   # row j: nonzero at j only
     lanes[np.arange(ng), np.arange(ng)] = (zero + 1) % ctx.nr
     rows = np.concatenate([random, np.full((3, ng), zero, dtype=np.int16), lanes])
-    got = ctx.zero_row_mask(ctx.adder.canon[rows])
+    got = ctx.zero_row_mask(ctx.canon[rows])
     assert got.dtype == bool
     assert np.array_equal(got, (rows == zero).all(axis=1))
     assert not got[-ng:].any() and got[200:203].all()

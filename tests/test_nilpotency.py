@@ -304,9 +304,9 @@ def spy_product_with_row(monkeypatch):
     calls = []
     real = _engine.product_with_row
 
-    def spy(ctx, P, block, op):
+    def spy(ctx, P):
         calls.append(P.shape[0])
-        return real(ctx, P, block, op)
+        return real(ctx, P)
 
     monkeypatch.setattr(_engine, "product_with_row", spy)
     return calls
@@ -330,13 +330,13 @@ def scalar_ids(rg):
     """Element i of rg by its base-|R| digits, which are canonical ring ids,
     and the id of an element."""
     nr, ng = rg.ring.order, rg.group.order
-    adder = _engine.table_context(rg).adder
+    ctx = _engine.table_context(rg)
 
     def element(i):
-        return rg.element([int(adder.ids[(i // nr ** g) % nr]) for g in range(ng)])
+        return rg.element([int(ctx.ids[(i // nr ** g) % nr]) for g in range(ng)])
 
     def element_id(e):
-        return sum(int(adder.canon[c]) * nr ** g for g, c in enumerate(e.coeffs))
+        return sum(int(ctx.canon[c]) * nr ** g for g, c in enumerate(e.coeffs))
 
     return element, element_id
 
@@ -361,10 +361,10 @@ def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind,
             assert table[a, b] == element_id(circle(els[a], els[b]))
 
 
-# T2Z4[C2] sums three fields at once, with a coordinate step (|G| = 2);
-# Z3[S3] reduces by np.remainder, in an odd radix, over a non-abelian group,
-# with five outer-sum steps per plane; Z4'[C2xC2], renumbered, sums in three
-# steps per plane, two of them into the buffer of earlier steps.
+# T2Z4[C2] sums six packed fields in one outer-sum step (|G| = 2), straight
+# into the table; Z3[S3] reduces six fields of an odd radix by np.remainder,
+# over a non-abelian group, in five outer-sum steps; Z4'[C2xC2], renumbered,
+# sums in three steps, the first two into fresh arrays.
 # Too large for a full compare, each is checked on seeded pairs and a few
 # whole rows.
 @pytest.mark.parametrize("ring,group,kind,rows", [

@@ -52,7 +52,7 @@ def degree(R, G):
 def check_kernels(rg, rng):
     """Every kernel against the scalar layer, on rows drawn in ring ids."""
     ctx = _engine.table_context(rg)
-    canon, ids = ctx.adder.canon, ctx.adder.ids
+    canon, ids = ctx.canon, ctx.ids
     nr, ng = ctx.nr, ctx.ng
     A, B = (rng.integers(0, nr, size=(6, ng)).astype(np.int16) for _ in range(2))
     ea, eb = ([rg.element([int(v) for v in row]) for row in X] for X in (A, B))
@@ -68,10 +68,11 @@ def check_kernels(rg, rng):
     assert coeffs(_engine.rows_bracket(ctx, Ac, Bc)) == [
         lie_bracket(a, b).coeffs for a, b in zip(ea, eb)]
     monos = [(int(r), int(g)) for r, g in zip(rng.integers(0, nr, 5), rng.integers(0, ng, 5))]
+    got = _engine.product_with_row(ctx, Ac).transpose(0, 2, 3, 1)   # [i, x, v, h]
+    assert [coeffs(row.reshape(-1, ng)) for row in got] == [
+        [circle(a, rg.embed(int(ids[v]), x)).coeffs for x in range(ng) for v in range(nr)]
+        for a in ea]
     for op, scalar in (("circle", circle), ("bracket", lie_bracket)):
-        got = _engine.product_with_row(ctx, Ac, Bc, op)
-        assert [coeffs(row) for row in got] == [
-            [scalar(a, b).coeffs for b in eb] for a in ea]
         got = _engine.candidate_block(ctx, Ac, monos, op).reshape(6, len(monos), ng)
         assert [coeffs(row) for row in got] == [
             [scalar(a, rg.embed(r, g)).coeffs for r, g in monos] for a in ea]
@@ -118,12 +119,12 @@ def test_canonical_numbering_of_the_extra_rings():
     # order 6 first, so it renumbers.  Z3[x]/(x^2) is canonical as built.
     for R, fields, identity in ((z2_times_z6(), (6, 2), False),
                                 (z3_dual_numbers(), (3, 3), True), (zmod_ring(6), (6,), True)):
-        adder = _engine.table_context(GroupRing(R, builtin_group("C1"))).adder
-        assert adder.fields == fields and adder.ids[0] == R.zero
-        assert np.array_equal(adder.ids, np.arange(R.order)) == identity
+        ctx = _engine.table_context(GroupRing(R, builtin_group("C1")))
+        assert ctx.adder.fields == fields and ctx.ids[0] == R.zero
+        assert np.array_equal(ctx.ids, np.arange(R.order)) == identity
         # canonical addition is the per-digit sum, and zero is id 0
         digits = np.arange(R.order)[:, None] // np.cumprod((1,) + fields[:-1]) % fields
-        add = adder.canon[np.asarray(R.add_table)[np.ix_(adder.ids, adder.ids)]]
+        add = ctx.canon[np.asarray(R.add_table)[np.ix_(ctx.ids, ctx.ids)]]
         want = (digits[:, None] + digits[None]) % fields @ np.cumprod((1,) + fields[:-1])
         assert np.array_equal(add, want)
 
@@ -140,18 +141,29 @@ def test_the_zero_ring_has_no_fields():
 
 
 def test_sums_past_int64_add_two_terms_at_a_time():
-    # A ring of fields (4, 2, 2, 2, 2, 2, 2) over C128 would need 10 + 6 * 9
-    # slot bits for the 256 terms of product_with_row, more than int64 has;
-    # such sums add two terms at a time.  Here H32[C8] is made to as well.
+    # Fields (4, 2, 2, 2, 2, 2, 2) need 10 + 6 * 9 slot bits for a sum of
+    # 256 terms, more than int64 has: such sums take the ids as they are,
+    # add them two at a time and decode nothing.
+    fields = (4, 2, 2, 2, 2, 2, 2)
+    bases = np.cumprod((1,) + fields[:-1])
+    adder = _engine.Adder(fields)
+    ids = np.random.default_rng(5).integers(0, 256, size=(256, 40)).astype(np.int16)
+    terms, add = adder.encode(ids, 256)
+    assert terms is ids and add == adder.add
+    total = terms[0]
+    for term in terms[1:]:
+        total = add(total, term)
+    got = adder.decode(total, 256, np.empty(40, dtype=np.int16))
+    want = (ids[..., None] // bases % fields).sum(axis=0) % fields @ bases
+    assert np.array_equal(got, want)
+    # rows_mul's fold takes the same path on H32[C8] once its 8-term slots
+    # are withheld
     rg = GroupRing(builtin_ring("H32"), builtin_group("C8"))
     ctx = _engine.TableContext(rg)
-    ctx.adder = _engine.Adder(rg.ring)
-    ctx.adder._layouts.update({8: (None, None), 16: (None, None)})
+    ctx.adder = _engine.Adder(ctx.adder.fields)
+    ctx.adder._layouts[8] = (None, None)
     assert ctx.adder.encode(ctx.rmul, 8)[1] == ctx.adder.add
     rng = np.random.default_rng(5)
     A, B = (rng.integers(0, 32, size=(40, 8)).astype(np.int16) for _ in range(2))
     want = _engine.table_context(rg)
     assert np.array_equal(_engine.rows_mul(ctx, A, B), _engine.rows_mul(want, A, B))
-    for op in ("circle", "bracket"):
-        assert np.array_equal(_engine.product_with_row(ctx, A, B[:3], op),
-                              _engine.product_with_row(want, A, B[:3], op))
