@@ -3,19 +3,22 @@
     python bench/snapshot.py NAME parent=/path/to/old/src change=src [--repeats 3]
 
 Each LABEL=SRC names a copy of the package.  Every repeat runs each copy in
-two fresh processes, pinned to one CPU with MALLOC_MMAP_THRESHOLD_=131072
+three fresh processes, pinned to one CPU with MALLOC_MMAP_THRESHOLD_=131072
 (the benchmark's allocator setting), alternating which copy goes first.
 One process times, end to end, run_identity_suite on the four `identities`
 workload items and on all 81 built-in (ring, group) contexts (criterion 2
 of tests/test_acceptance.py), and the search against exhaustive_check at
 degrees 2-4 on the 31 contexts of at most 4096 elements (criterion 3),
 building each GroupRing outside the timer.
-The other times layers on a heap that no suite has used, as the history
+Another times layers on a heap that no suite has used, as the history
 of earlier allocations moves in-process times: the median of
 several calls of rows_mul (the fold), rows_add and rows_neg on 1667 x 64
 seeded rows over D4xD4, of the bound-4 search on T2Z4, H32, M2F2 and Z16
 over D4xD4, and of the full circle tables of T2Z4[C2], H32[C2] and Z8[C4],
 each on a fresh GroupRing.
+The third runs the 81-pair crosscheck (`jrl crosscheck`) once, cold, on
+rings and groups that nothing has classified yet, and sums its records'
+classify_ms and search_ms.
 The medians over the repeats go into BENCH_<NAME>.json at the repository
 root, under each label, with the machine's nproc, Python and numpy; labels
 already in the file are kept.
@@ -28,7 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITEMS = [("Z8", "C2"), ("Z2", "D4"), ("M2F2", "D4xD4"), ("T2Z4", "D4xD4")]
 RINGS = ("T2Z4", "H32", "M2F2", "Z16")   # over D4xD4
 TABLES = [("T2Z4", "C2"), ("H32", "C2"), ("Z8", "C4")]
-CRITERIA = ("criterion2_s", "criterion3_s")
+CRITERIA = ("criterion2_s", "criterion3_s", "classify_ms", "search_ms")
 
 
 def layers():
@@ -93,6 +96,19 @@ def suite():
             "criterion3_s": time.perf_counter() - start}
 
 
+def catalog():
+    """Summed classify and search ms of one crosscheck over the catalog."""
+    from jrl.harness import crosscheck, default_catalog
+
+    records = crosscheck(default_catalog())
+    assert all(r.status == "Agree" for r in records)
+    return {"classify_ms": sum(r.classify_ms for r in records),
+            "search_ms": sum(r.search_ms for r in records)}
+
+
+PARTS = {"suite": suite, "layers": lambda: {"layers_ms": layers()}, "catalog": catalog}
+
+
 def main(argv):
     name, argv = argv[0], argv[1:]
     repeats = int(argv[argv.index("--repeats") + 1]) if "--repeats" in argv else 3
@@ -103,7 +119,7 @@ def main(argv):
     for rep in range(repeats):
         for label, src in copies[::-1] if rep % 2 else copies:
             runs[label].append({})
-            for part in ("suite", "layers"):
+            for part in PARTS:
                 out = subprocess.run([sys.executable, __file__, "--one", str(cpu),
                                       os.path.abspath(src), part],
                                      env=env, check=True, capture_output=True, text=True).stdout
@@ -131,6 +147,6 @@ if __name__ == "__main__":
     if sys.argv[1] == "--one":
         os.sched_setaffinity(0, {int(sys.argv[2])})
         sys.path.insert(0, sys.argv[3])
-        print(json.dumps(suite() if sys.argv[4] == "suite" else {"layers_ms": layers()}))
+        print(json.dumps(PARTS[sys.argv[4]]()))
     else:
         main(sys.argv[1:])

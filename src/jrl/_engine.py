@@ -126,7 +126,8 @@ class Adder:
             return np.bitwise_xor(a, b, out=out)
         if self.high is None:
             total = self._layout(2)[1].take(a) + self._layout(2)[1].take(b)
-            return self.decode(total, 2, np.empty(total.shape, np.int16) if out is None else out)
+            out = np.empty(total.shape, np.int16) if out is None else out
+            return self.decode(total, 2, out, np.empty_like(total))
         if len(self.fields) == 1:    # an int16 sum that wraps keeps its low bits
             out = np.add(a, b, out=out)
             return np.bitwise_and(out, self.nr - 1, out=out)

@@ -150,17 +150,25 @@ def _closure(G: FiniteGroup, seed: set) -> tuple:
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     """Subgroup generated by all commutators x^-1 y^-1 x y, read off the
-    group table in one gather."""
-    T, inv = G.table, G._inv
-    present = np.zeros(G.order, dtype=bool)
-    present[T[T[inv[:, None], inv[None, :]], T]] = True
-    return Subgroup(G, _closure(G, set(np.flatnonzero(present).tolist())))
+    group table in one gather.  The members are kept on G; the Subgroup
+    is built per call, since keeping it would make a cycle through G."""
+    members = getattr(G, "_derived", None)
+    if members is None:
+        T, inv = G.table, G._inv
+        present = np.zeros(G.order, dtype=bool)
+        present[T[T[inv[:, None], inv[None, :]], T]] = True
+        members = G._derived = _closure(G, set(np.flatnonzero(present).tolist()))
+    return Subgroup(G, members)
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    """The elements whose table row equals their table column."""
-    members = np.flatnonzero((G.table == G.table.T).all(axis=1))
-    return Subgroup(G, tuple(members.tolist()))
+    """The elements whose table row equals their table column, kept on G
+    as derived_subgroup keeps its members."""
+    members = getattr(G, "_center", None)
+    if members is None:
+        members = np.flatnonzero((G.table == G.table.T).all(axis=1))
+        members = G._center = tuple(members.tolist())
+    return Subgroup(G, members)
 
 
 def is_central(G: FiniteGroup, members: Sequence[int]) -> bool:

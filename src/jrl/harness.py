@@ -26,6 +26,11 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class CrossCheckRecord:
+    """One pair's verdicts and times.  classify keeps each ring's and each
+    group's facts on the structure, so the first pair on a ring carries the
+    cost of that ring's conditions in classify_ms, and later pairs on it
+    read them back."""
+
     entry: CatalogEntry
     predicted: ClassificationResult
     oracle: Optional[int]          # minimal index, None when past the bound

@@ -330,7 +330,13 @@ def ring_conditions(R: FiniteRing, bound: int = 6) -> RingConditions:
     Each condition is additive in every slot, so it holds on all of R
     exactly when it holds on generators.  One gather builds the circle
     products of generator pairs and one more decides each condition.
+    The result is kept on R per bound; it holds no reference back to R.
     """
+    cached = getattr(R, "_ring_conditions", None)
+    if cached is None:
+        cached = R._ring_conditions = {}
+    if bound in cached:
+        return cached[bound]
     radd, rmul, zero = R.add_table, R.mul_table, R.zero
     g = np.asarray(R.additive_generating_set(), dtype=np.intp)
     circ = radd[rmul[g[:, None], g], rmul[g, g[:, None]]]   # [i, j] = g_i o g_j
@@ -339,4 +345,5 @@ def ring_conditions(R: FiniteRing, bound: int = 6) -> RingConditions:
     cc = bool((radd[rmul[ab, g], rmul[g, ab]] == zero).all())
     sq = bool((rmul[ab[..., None], circ] == zero).all())
     upper = minimal_jordan_index(spanning_set(R), max_n=bound)
-    return RingConditions(two, cc, sq, upper)
+    cached[bound] = RingConditions(two, cc, sq, upper)
+    return cached[bound]

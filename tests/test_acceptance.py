@@ -160,9 +160,12 @@ def test_criterion_4_catalog_crosscheck(capsys, catalog_records):
 
     agree = sum(1 for r in records if r.status == "Agree")
     ok = agree == 81 and not disagreements
+    classify_ms = sum(r.classify_ms for r in records)
+    search_ms = sum(r.search_ms for r in records)
     verdict(capsys, ok, "criterion 4",
             f"9x9 catalog: {agree} Agree, 0 Disagree; "
-            f"anchors and both circle-condition clauses verified")
+            f"anchors and both circle-condition clauses verified; "
+            f"classify {classify_ms:.1f} ms, search {search_ms:.1f} ms")
     assert ok
 
 

@@ -1,13 +1,17 @@
 """Structural classifier: frozen verdict map plus agreement with the
 tuple-search oracle on representative contexts."""
 
+import gc
+import weakref
+
 import pytest
 
+from jrl import groups, nilpotency
 from jrl.classify import CLAUSE_TEXT, ClassificationResult, classify, explain
 from jrl.groupring import GroupRing
-from jrl.groups import BUILTIN_GROUP_NAMES, builtin_group
+from jrl.groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group, center, derived_subgroup
 from jrl.nilpotency import minimal_jordan_index, spanning_set
-from jrl.rings import BUILTIN_RING_NAMES, builtin_ring
+from jrl.rings import BUILTIN_RING_NAMES, FiniteRing, builtin_ring
 
 from support_rings import scalar_plus_strict_upper_4x4_gf2
 
@@ -121,3 +125,88 @@ def test_explain_negative_verdict():
 def test_explain_mentions_ring_own_index():
     text = explain(classify(builtin_ring("H16"), builtin_group("C2")))
     assert "Jordan nilpotent of index 3 on its own" in text
+
+
+# --- facts kept on the structures ---------------------------------------------
+
+def rebuilt_ring(R):
+    """R's tables in a new FiniteRing, with nothing kept on it yet."""
+    return FiniteRing(R.name, R.add_table, R.mul_table, R.zero, R.one)
+
+
+def rebuilt_group(G):
+    return FiniteGroup(G.name, G.table, G.identity)
+
+
+def built_without_init(structure):
+    """A copy made by object.__new__, as the identity suite builds its
+    corrupted rings and groups: what the constructor set, and nothing
+    kept on first use."""
+    copy = object.__new__(type(structure))
+    vars(copy).update(vars(structure))
+    return copy
+
+
+def verdict_and_facts(res):
+    return res.index, res.clause, res.facts
+
+
+def test_kept_facts_classify_as_fresh_structures():
+    for r in BUILTIN_RING_NAMES:
+        for g in BUILTIN_GROUP_NAMES:
+            R, G = builtin_ring(r), builtin_group(g)
+            classify(R, G)
+            warm = classify(R, G)
+            fresh = classify(rebuilt_ring(R), rebuilt_group(G))
+            assert verdict_and_facts(warm) == verdict_and_facts(fresh), (r, g)
+
+
+def test_a_fresh_ring_is_searched_once_over_two_groups(monkeypatch):
+    searched = []
+    search = nilpotency.minimal_jordan_index
+
+    def spy(S, max_n=6):
+        searched.append(S.context)
+        return search(S, max_n)
+
+    monkeypatch.setattr(nilpotency, "minimal_jordan_index", spy)
+    R = rebuilt_ring(builtin_ring("H16"))
+    assert [classify(R, builtin_group(g)).index for g in ("C2", "D4")] == [3, 4]
+    assert searched == [R]
+
+
+def test_a_fresh_group_closes_its_commutators_once(monkeypatch):
+    closed = []
+    closure = groups._closure
+
+    def spy(G, seed):
+        closed.append(G)
+        return closure(G, seed)
+
+    monkeypatch.setattr(groups, "_closure", spy)
+    G = rebuilt_group(builtin_group("D4xD4"))
+    assert [classify(builtin_ring(r), G).index for r in ("Z2", "Z4")] == [4, None]
+    assert closed == [G]
+    assert derived_subgroup(G).members == G._derived == (0, 2, 16, 18)
+    assert center(G).members == G._center == center(builtin_group("D4xD4")).members
+
+
+def test_structures_built_without_init_classify():
+    R, G = builtin_ring("H32"), builtin_group("Q8")
+    want = classify(R, G)
+    got = classify(built_without_init(rebuilt_ring(R)), built_without_init(rebuilt_group(G)))
+    assert verdict_and_facts(got) == verdict_and_facts(want)
+
+
+def test_classified_structures_die_by_reference_counting():
+    # the facts kept on R and G must not hold R or G
+    R, G = rebuilt_ring(builtin_ring("H16")), rebuilt_group(builtin_group("D4"))
+    refs = weakref.ref(R), weakref.ref(G)
+    gc.disable()
+    try:
+        assert classify(R, G).index == 4
+        assert R._ring_conditions and G._derived and G._center
+        del R, G
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

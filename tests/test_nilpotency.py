@@ -565,6 +565,16 @@ def test_ring_conditions_match_definitions():
             R.mul(u, v) == R.zero for u in vals for v in vals)
 
 
+@pytest.mark.parametrize("bound", (4, 6))
+@pytest.mark.parametrize("name", BUILTIN_RING_NAMES + ("U4F2",))
+def test_kept_ring_conditions_equal_a_fresh_computation(name, bound):
+    R = scalar_plus_strict_upper_4x4_gf2() if name == "U4F2" else builtin_ring(name)
+    warm = ring_conditions(R, bound)
+    assert ring_conditions(R, bound) is warm
+    fresh = FiniteRing(R.name, R.add_table, R.mul_table, R.zero, R.one)
+    assert ring_conditions(fresh, bound) == warm
+
+
 def test_ring_conditions_on_large_test_ring():
     U = scalar_plus_strict_upper_4x4_gf2()
     assert U.order == 128 and U.characteristic() == 2
