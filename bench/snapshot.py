@@ -11,8 +11,12 @@ of tests/test_acceptance.py), and the search against exhaustive_check at
 degrees 2-4 on the 31 contexts of at most 4096 elements (criterion 3),
 building each GroupRing outside the timer.
 Another times layers on a heap that no suite has used, as the history
-of earlier allocations moves in-process times: the median of
-several calls of rows_mul (the fold), rows_add and rows_neg on 1667 x 64
+of earlier allocations moves in-process times: the median of several
+calls of table validation (FiniteGroup and FiniteRing on the built-in
+tables as lists: D4xD4, T2Z4, H32, and all nine groups and nine rings
+together), of ring_conditions at bound 4 on each built-in ring, cold (a
+fresh FiniteRing with nothing kept on it, built outside the timer), of
+rows_mul (the fold), rows_add and rows_neg on 1667 x 64
 seeded rows over D4xD4, of the bound-4 search on T2Z4, H32, M2F2 and Z16
 over D4xD4, and of the full circle tables of T2Z4[C2], H32[C2] and Z8[C4],
 each on a fresh GroupRing.
@@ -39,18 +43,30 @@ def layers():
     import numpy as np
     from jrl import _engine, nilpotency
     from jrl.groupring import GroupRing
-    from jrl.groups import builtin_group
-    from jrl.rings import builtin_ring
+    from jrl.groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group
+    from jrl.rings import BUILTIN_RING_NAMES, FiniteRing, builtin_ring
 
-    def ms(call, calls):
+    def ms(call, calls, setup=tuple):
         times = []
         for _ in range(calls):
+            args = setup()          # untimed
             start = time.perf_counter()
-            call()
+            call(*args)
             times.append((time.perf_counter() - start) * 1e3)
         return median(times)
 
-    out = {}
+    groups = {g: (builtin_group(g).table.tolist(), builtin_group(g).identity)
+              for g in BUILTIN_GROUP_NAMES}
+    rings = {r: (R.add_table.tolist(), R.mul_table.tolist(), R.zero, R.one)
+             for r, R in ((r, builtin_ring(r)) for r in BUILTIN_RING_NAMES)}
+    out = {"validate D4xD4": ms(lambda: FiniteGroup("G", *groups["D4xD4"]), 9)}
+    for r in ("T2Z4", "H32"):
+        out[f"validate {r}"] = ms(lambda: FiniteRing(r, *rings[r]), 9)
+    out["validate all built-ins"] = ms(lambda: ([FiniteGroup(g, *t) for g, t in groups.items()],
+                                                [FiniteRing(r, *t) for r, t in rings.items()]), 5)
+    for r in BUILTIN_RING_NAMES:
+        out[f"ring_conditions cold {r}"] = ms(lambda R: nilpotency.ring_conditions(R, 4), 5,
+                                              lambda: (FiniteRing(r, *rings[r]),))
     for r in RINGS:
         rg = GroupRing(builtin_ring(r), builtin_group("D4xD4"))
         ctx = _engine.table_context(rg)

@@ -36,6 +36,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .groupring import GroupRing
+from .groups import _powers
 
 
 def _cyclic_fields(add: np.ndarray, zero: int) -> Tuple[tuple, np.ndarray]:
@@ -45,10 +46,7 @@ def _cyclic_fields(add: np.ndarray, zero: int) -> Tuple[tuple, np.ndarray]:
     each next one by an element of greatest order modulo the fields so far,
     lifted to one of that order (the fields so far are a direct summand, so
     one exists).  Each built-in ring is numbered so already."""
-    multiples = [np.arange(add.shape[0], dtype=add.dtype)]   # [k - 1, a] = k a, to the exponent
-    while (multiples[-1] != zero).any():
-        multiples.append(add[multiples[-1], multiples[0]])
-    multiples, ids, fields = np.array(multiples), np.array([zero]), ()
+    multiples, ids, fields = _powers(add, zero), np.array([zero]), ()   # [k - 1, a] = k a
     while ids.size < add.shape[0]:
         order = np.isin(multiples, ids).argmax(axis=0) + 1    # modulo the fields so far
         m = int(order.max())
@@ -113,8 +111,9 @@ class Adder:
             src = np.right_shift(total, offset, out=digit, casting="unsafe") if offset else total
             if m & (m - 1) == 0:
                 np.bitwise_and(src, m - 1, out=digit, casting="unsafe")
-            else:   # the slot, cut from the slots above it, may not fit digit
-                np.remainder(src & (1 << width) - 1, m, out=digit, casting="unsafe")
+            else:   # the slot, cut from the slots above it, may not fit digit: cut in scratch
+                np.bitwise_and(src, (1 << width) - 1, out=scratch, casting="unsafe")
+                np.remainder(scratch, m, out=digit, casting="unsafe")
             if i:
                 np.multiply(digit, base, out=digit)
                 np.add(out, digit, out=out, casting="unsafe")
@@ -160,8 +159,8 @@ class TableContext:
 
     adder, ids, canon and rmul are the ring's numbering (see _numbering),
     and gmul the group's own table.  Derived tables are kept here, once:
-    ginv, ginv_cols for the convolution kernels, and the monomial shift
-    tables.
+    ginv, and the monomial shift tables, which the convolution fold
+    reads too.
     """
 
     def __init__(self, rg: GroupRing):
@@ -171,11 +170,10 @@ class TableContext:
         self.nr = ring.order
         self.ng = group.order
         self.ginv = np.asarray(group._inv, dtype=np.int16)
-        self.ginv_cols = self.gmul[self.ginv]   # [g, h] -> g^-1 * h
         # column permutations of a product with a monomial r g, as take
         # indices: [g, x] = x g^-1 (right side) and [g, x] = g^-1 x (left)
         self.right_shift = self.gmul[:, self.ginv].T.astype(np.intp)
-        self.left_shift = self.ginv_cols.astype(np.intp)
+        self.left_shift = self.gmul[self.ginv].astype(np.intp)
         self.last_plan = None   # (key, _MonomialPlan) of the last kernel call
 
     def mono_rows(self, rs: np.ndarray, gs: np.ndarray) -> np.ndarray:
@@ -239,7 +237,7 @@ def _rows_mul_fold(ctx: TableContext, A: np.ndarray, B: np.ndarray) -> np.ndarra
     # g = 0 term.  Every index is in range, so take's mode="clip" changes no
     # value; it only spares numpy the copy of out that mode="raise" makes.
     n, ng, nr, adder = A.shape[0], ctx.ng, ctx.nr, ctx.adder
-    (terms, add), cols = adder.encode(ctx.rmul.ravel(), ng), ctx.ginv_cols
+    (terms, add), cols = adder.encode(ctx.rmul.ravel(), ng), ctx.left_shift   # [g, h] = g^-1 h
     out = np.empty((n, ng), dtype=np.int16)
     rows = max(1, _FOLD_CELLS // ng)
     m = min(n, rows)

@@ -1,6 +1,16 @@
 """Finite groups as 0-based multiplication tables, with the structure
 queries the classifier needs: derived subgroup, center, commutators,
-and a coarse isomorphism tag for small subgroups."""
+and a coarse isomorphism tag for small subgroups.
+
+Each table fact has one private helper here, shared with rings.py and
+the kernels: _as_table (entry checks), _first_assoc_failure,
+_first_unfixed (identities: G's e, R's zero and one), _inverse_scan
+(inverses in G, negation in R), _generated (derived_subgroup and
+FiniteRing.additive_generating_set), _powers (element_order,
+FiniteRing.characteristic, commutator_span_condition and
+_engine._cyclic_fields) and _commutators (derived_subgroup,
+commutator_span_condition and identities.check_table).
+"""
 
 from __future__ import annotations
 
@@ -16,16 +26,22 @@ _ASSOC_CHUNK = 64  # rows per broadcast slab; keeps the (chunk, n, n) cube small
 
 
 def _as_table(table: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int16)
+    """table as an int16 array, checked to be n x n integers in [0, n)."""
+    try:
+        arr = np.asarray(table)
+    except ValueError:   # ragged rows
+        raise ValidationError(f"table rows are not all of length {n}") from None
     if arr.shape != (n, n):
         raise ValidationError(f"table shape {arr.shape} does not match order {n}")
+    if arr.dtype.kind not in "biu":   # floats would truncate, objects overflow
+        raise ValidationError(f"table entries must be integers, not {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         bad = np.argwhere((arr < 0) | (arr >= n))[0]
         raise ValidationError(
             f"table entry {int(arr[tuple(bad)])} at {tuple(int(v) for v in bad)} "
             f"out of range [0,{n - 1}]"
         )
-    return arr
+    return arr.astype(np.int16, copy=False)
 
 
 def _first_assoc_failure(table: np.ndarray) -> tuple | None:
@@ -43,6 +59,45 @@ def _first_assoc_failure(table: np.ndarray) -> tuple | None:
     return None
 
 
+def _first_unfixed(table: np.ndarray, e: int) -> int | None:
+    """The first g with e g != g or g e != g, else None."""
+    g = np.arange(table.shape[0])
+    bad = np.flatnonzero((table[e] != g) | (table[:, e] != g))
+    return int(bad[0]) if bad.size else None
+
+
+def _inverse_scan(table: np.ndarray, e: int) -> tuple:
+    """Each g's first h with g h = e (else -1), and the first g whose h is
+    missing or not also a left inverse (else None)."""
+    hits = table == e
+    inv = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).astype(np.int16)
+    bad = np.flatnonzero((inv < 0) | (table[inv, np.arange(table.shape[0])] != e))
+    return inv, (int(bad[0]) if bad.size else None)
+
+
+def _generated(table: np.ndarray, seed, e: int) -> np.ndarray:
+    """Membership mask of the subgroup that seed generates: e times every
+    product of seed elements (in a finite group g^-1 is a power of g)."""
+    cols, inside = table[:, np.asarray(seed, dtype=np.intp)], np.zeros(len(table), dtype=bool)
+    inside[e] = True
+    while not inside[step := cols[inside]].all():
+        inside[step] = True
+    return inside
+
+
+def _powers(table: np.ndarray, e: int) -> np.ndarray:
+    """[k - 1, a] = a^k, for k up to the exponent (whose row is all e)."""
+    powers = [np.arange(table.shape[0], dtype=table.dtype)]
+    while (powers[-1] != e).any():
+        powers.append(table[powers[-1], powers[0]])
+    return np.array(powers)
+
+
+def _commutators(table: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """[x, y] = x^-1 y^-1 x y, in table's dtype."""
+    return table[table[inv[:, None], inv[None, :]], table]
+
+
 class FiniteGroup:
     """Immutable finite group over element indices 0..order-1.
 
@@ -55,21 +110,16 @@ class FiniteGroup:
         table = _as_table(mul_table, n)
         if not (0 <= identity < n):
             raise NoIdentity(f"identity index {identity} out of range", (identity,))
-        # identity acts trivially on both sides
-        for g in range(n):
-            if table[identity, g] != g or table[g, identity] != g:
-                raise NoIdentity(f"element {identity} is not an identity at {g}", (identity, g))
+        g = _first_unfixed(table, identity)
+        if g is not None:
+            raise NoIdentity(f"element {identity} is not an identity at {g}", (identity, g))
         fail = _first_assoc_failure(table)
         if fail is not None:
             raise NotAssociative(f"(a*b)*c != a*(b*c) at {fail}", fail)
-        inv = np.full(n, -1, dtype=np.int16)
-        for g in range(n):
-            hits = np.flatnonzero(table[g] == identity)
-            if hits.size == 0:
-                raise NoInverse(f"element {g} has no right inverse", (g,))
-            inv[g] = hits[0]
-            if table[hits[0], g] != identity:
-                raise NoInverse(f"element {g} has no two-sided inverse", (g,))
+        inv, g = _inverse_scan(table, identity)
+        if g is not None:
+            side = "right" if inv[g] < 0 else "two-sided"
+            raise NoInverse(f"element {g} has no {side} inverse", (g,))
         self.name = name
         self.order = n
         self.identity = int(identity)
@@ -97,11 +147,10 @@ class FiniteGroup:
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
 
     def element_order(self, a: int) -> int:
-        k, acc = 1, a
-        while acc != self.identity:
-            acc = self.mul(acc, a)
-            k += 1
-        return k
+        if getattr(self, "_orders", None) is None:   # kept on G, as _derived is
+            powers = _powers(self.table, self.identity)
+            self._orders = ((powers == self.identity).argmax(axis=0) + 1).tolist()
+        return self._orders[a]
 
     @property
     def is_abelian(self) -> bool:
@@ -129,35 +178,15 @@ class Subgroup:
         return len(self.members)
 
 
-def _closure(G: FiniteGroup, seed: set) -> tuple:
-    """Close a subset under products and inverses."""
-    out = set(seed)
-    out.add(G.identity)
-    frontier = list(out)
-    while frontier:
-        g = frontier.pop()
-        for h in list(out):
-            for k in (G.mul(g, h), G.mul(h, g)):
-                if k not in out:
-                    out.add(k)
-                    frontier.append(k)
-        gi = G.inv(g)
-        if gi not in out:
-            out.add(gi)
-            frontier.append(gi)
-    return tuple(sorted(out))
-
-
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     """Subgroup generated by all commutators x^-1 y^-1 x y, read off the
     group table in one gather.  The members are kept on G; the Subgroup
     is built per call, since keeping it would make a cycle through G."""
     members = getattr(G, "_derived", None)
     if members is None:
-        T, inv = G.table, G._inv
-        present = np.zeros(G.order, dtype=bool)
-        present[T[T[inv[:, None], inv[None, :]], T]] = True
-        members = G._derived = _closure(G, set(np.flatnonzero(present).tolist()))
+        seed = np.flatnonzero(np.bincount(_commutators(G.table, G._inv).ravel()))
+        members = np.flatnonzero(_generated(G.table, seed, G.identity))
+        members = G._derived = tuple(members.tolist())
     return Subgroup(G, members)
 
 
@@ -185,21 +214,11 @@ def squares_central(G: FiniteGroup) -> bool:
 def commutator_span_condition(G: FiniteGroup) -> bool:
     """True when every nontrivial commutator (x,y) has all commutators
     of the form (y,z) inside the cyclic subgroup it generates."""
-    for x in G.elements():
-        for y in G.elements():
-            s = G.commutator(x, y)
-            if s == G.identity:
-                continue
-            span = set()
-            acc = s
-            while acc not in span:
-                span.add(acc)
-                acc = G.mul(acc, s)
-            span.add(G.identity)
-            for z in G.elements():
-                if G.commutator(y, z) not in span:
-                    return False
-    return True
+    comm = _commutators(G.table, G._inv)
+    span = np.zeros((G.order, G.order), dtype=bool)   # [s, t]: t in <s>
+    span[np.arange(G.order), _powers(G.table, G.identity)] = True
+    # row s of comm is (x, y) over y: one x at a time keeps memory O(|G|^2)
+    return not any((~span[s[:, None], comm] & (s != G.identity)[:, None]).any() for s in comm)
 
 
 def iso_class(H: Subgroup) -> str:

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _engine
 from .groupring import GroupRing
+from .groups import _commutators
 
 EXHAUSTIVE_CELL_LIMIT = 2_000_000
 DEFAULT_SAMPLES = 1500
@@ -87,7 +88,7 @@ def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tu
 
     gmul, inv = ctx.gmul.astype(np.intp), ctx.ginv.astype(np.intp)
     ids = np.arange(ng)
-    comm = gmul[gmul[inv[:, None], inv[None, :]], gmul]  # [x, y] = x^-1 y^-1 x y
+    comm = _commutators(gmul, inv)                      # [x, y] = x^-1 y^-1 x y
     conj = gmul[gmul[inv[None, :], ids[:, None]], ids]   # [x, y] = y^-1 x y
     circ = add(rmul, rmul.T)                            # [a, b] = a o b in R
 

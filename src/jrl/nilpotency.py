@@ -201,12 +201,14 @@ def _table_row_bytes(ctx: _engine.TableContext) -> int:
     """A table row's share of a batch's transient buffers, at most.  Per
     cell of the row: the outer sum's earlier steps and its sums'
     temporaries, 2 bytes where the ring's fields add natively (XOR or
-    2^w fields) and 20 where the adder spreads digits to int32 slots and
-    decodes them through an intp scratch.  Per plane and monomial:
-    product_with_row's two gathers and their sum's temporaries, 12 bytes
-    natively and 20 spread."""
+    2^w fields) and 12 where the adder spreads digits to slots of at most
+    an int32 (a 4096-element table needs no wider) and decodes them
+    through a scratch of that type: 10-11.6 bytes by tracemalloc on Z3[S3]
+    and Z6[C4].  Per plane and monomial: product_with_row's two gathers
+    and their sum's temporaries, 12 bytes natively and 18 spread
+    (16.1-17.2 by tracemalloc)."""
     native = ctx.adder.xor or ctx.adder.high is not None
-    return (2 if native else 20) * ctx.nr ** ctx.ng + (12 if native else 20) * ctx.ng ** 2 * ctx.nr
+    return (2 if native else 12) * ctx.nr ** ctx.ng + (12 if native else 18) * ctx.ng ** 2 * ctx.nr
 
 
 def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:

@@ -17,7 +17,8 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .groups import _as_table, _first_assoc_failure
+from .groups import (_as_table, _first_assoc_failure, _first_unfixed, _generated, _inverse_scan,
+                     _powers)
 
 _DIST_CHUNK = 64
 
@@ -71,22 +72,18 @@ class FiniteRing:
         fail = _first_assoc_failure(add)
         if fail is not None:
             raise NotAbelianGroup(f"(a+b)+c != a+(b+c) at {fail}", fail)
-        for a in range(n):
-            if add[zero, a] != a:
-                raise NotAbelianGroup(f"zero does not fix element {a}", (zero, a))
-        neg = np.full(n, -1, dtype=np.int16)
-        for a in range(n):
-            hits = np.flatnonzero(add[a] == zero)
-            if hits.size == 0:
-                raise NoInverse(f"element {a} has no additive inverse", (a,))
-            neg[a] = hits[0]
+        a = _first_unfixed(add, zero)   # + is commutative: one side decides
+        if a is not None:
+            raise NotAbelianGroup(f"zero does not fix element {a}", (zero, a))
+        neg, a = _inverse_scan(add, zero)
+        if a is not None:
+            raise NoInverse(f"element {a} has no additive inverse", (a,))
         fail = _first_assoc_failure(mul)
         if fail is not None:
             raise NotAssociative(f"(a*b)*c != a*(b*c) at {fail}", fail)
-        for a in range(n):
-            if mul[one, a] != a or mul[a, one] != a:
-                raise NoIdentity(f"element {one} is not a multiplicative identity at {a}",
-                                 (one, a))
+        a = _first_unfixed(mul, one)
+        if a is not None:
+            raise NoIdentity(f"element {one} is not a multiplicative identity at {a}", (one, a))
         fail = _first_distributive_failure(add, mul)
         if fail is not None:
             raise NotDistributive(f"{fail[0]} distributivity fails at {fail[1:]}", fail[1:])
@@ -134,11 +131,8 @@ class FiniteRing:
     def characteristic(self) -> int:
         """Additive order of the multiplicative identity."""
         if self._char is None:
-            k, acc = 1, self.one
-            while acc != self.zero:
-                acc = self.add(acc, self.one)
-                k += 1
-            self._char = k
+            powers = _powers(self.add_table, self.zero)
+            self._char = int((powers[:, self.one] == self.zero).argmax()) + 1
         return self._char
 
     def is_commutative(self) -> bool:
@@ -153,31 +147,13 @@ class FiniteRing:
         element outside it; not guaranteed minimal, but deterministic.
         """
         if self._gens is None:
-            span = {self.zero}
             gens: List[int] = []
-            for a in range(self.order):
-                if a in span:
-                    continue
-                gens.append(a)
-                span = self._additive_closure(span | {a})
-                if len(span) == self.order:
-                    break
+            span = _generated(self.add_table, gens, self.zero)
+            while not span.all():
+                gens.append(int(span.argmin()))   # the least element outside the span
+                span = _generated(self.add_table, gens, self.zero)
             self._gens = tuple(gens)
         return self._gens
-
-    def _additive_closure(self, seed: set) -> set:
-        out = set(seed)
-        grew = True
-        while grew:
-            grew = False
-            snapshot = list(out)
-            for x in snapshot:
-                for y in snapshot:
-                    s = self.add(x, y)
-                    if s not in out:
-                        out.add(s)
-                        grew = True
-        return out
 
     def elements(self) -> range:
         return range(self.order)

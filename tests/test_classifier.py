@@ -177,16 +177,16 @@ def test_a_fresh_ring_is_searched_once_over_two_groups(monkeypatch):
 
 def test_a_fresh_group_closes_its_commutators_once(monkeypatch):
     closed = []
-    closure = groups._closure
+    generated = groups._generated
 
-    def spy(G, seed):
-        closed.append(G)
-        return closure(G, seed)
+    def spy(table, seed, e):
+        closed.append(table)
+        return generated(table, seed, e)
 
-    monkeypatch.setattr(groups, "_closure", spy)
+    monkeypatch.setattr(groups, "_generated", spy)
     G = rebuilt_group(builtin_group("D4xD4"))
     assert [classify(builtin_ring(r), G).index for r in ("Z2", "Z4")] == [4, None]
-    assert closed == [G]
+    assert len(closed) == 1 and closed[0] is G.table
     assert derived_subgroup(G).members == G._derived == (0, 2, 16, 18)
     assert center(G).members == G._center == center(builtin_group("D4xD4")).members
 
