@@ -18,8 +18,10 @@ together), of ring_conditions at bound 4 on each built-in ring, cold (a
 fresh FiniteRing with nothing kept on it, built outside the timer), of
 rows_mul (the fold), rows_add and rows_neg on 1667 x 64
 seeded rows over D4xD4, of the bound-4 search on T2Z4, H32, M2F2 and Z16
-over D4xD4, and of the full circle tables of T2Z4[C2], H32[C2] and Z8[C4],
-each on a fresh GroupRing.
+over D4xD4, of the full circle tables of T2Z4[C2], H32[C2] and Z8[C4],
+each on a fresh GroupRing, and of the exhaustive level walk to degree 4
+(`_exhaustive_levels(rg, 4)`) on T2Z4[C2] and Z8[C4], each on a fresh
+GroupRing whose circle table is built outside the timer.
 The third runs the 81-pair crosscheck (`jrl crosscheck`) once, cold, on
 rings and groups that nothing has classified yet, and sums its records'
 classify_ms and search_ms.
@@ -35,6 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITEMS = [("Z8", "C2"), ("Z2", "D4"), ("M2F2", "D4xD4"), ("T2Z4", "D4xD4")]
 RINGS = ("T2Z4", "H32", "M2F2", "Z16")   # over D4xD4
 TABLES = [("T2Z4", "C2"), ("H32", "C2"), ("Z8", "C4")]
+LEVELS = [("T2Z4", "C2"), ("Z8", "C4")]
 CRITERIA = ("criterion2_s", "criterion3_s", "classify_ms", "search_ms")
 
 
@@ -82,6 +85,14 @@ def layers():
     for r, g in TABLES:
         out[f"circle table {r}[{g}]"] = ms(lambda: nilpotency._full_circle_table(
             GroupRing(builtin_ring(r), builtin_group(g))), 3)
+
+    def tabled(r, g):
+        rg = GroupRing(builtin_ring(r), builtin_group(g))
+        nilpotency._full_circle_table(rg)
+        return (rg,)
+    for r, g in LEVELS:
+        out[f"exhaustive levels {r}[{g}]"] = ms(lambda rg: nilpotency._exhaustive_levels(rg, 4), 5,
+                                                lambda: tabled(r, g))
     return out
 
 

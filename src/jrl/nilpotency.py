@@ -13,6 +13,7 @@ and no distributivity or additivity in a slot.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -75,9 +76,14 @@ def spanning_set(context: Context) -> SpanningSet:
     return SpanningSet(context, monos, pairs)
 
 
-def _check_degree(n: int) -> None:
+def _check_degree(n: int) -> int:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidExponent(f"degree must be an integer, got {n!r}") from None
     if n < 2:
         raise InvalidExponent(f"degree must be >= 2, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ def _walk(S: SpanningSet, n: int, op: str) -> JordanSearchResult:
     by the early-exit final scan, whose first hit is the first violating
     tuple in tuple order.
     """
-    _check_degree(n)
+    n = _check_degree(n)
     ctx = _table_context(S.context)
     pairs = np.asarray(S.pairs, dtype=np.intp).reshape(-1, 2)
     V, first = _nonzero_unique(ctx, ctx.mono_rows(pairs[:, 0], pairs[:, 1]))
@@ -193,8 +199,10 @@ def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
 # no less at 2^20 or 2^21.
 _TABLE_BATCH_BYTES = 1 << 19
 
-# Table rows marked per step of the exhaustive level walk.
-_LEVEL_BLOCK_ROWS = 16
+# Table cells per step of the exhaustive level walk, through one index buffer of
+# at most 128 KB.  2^15 cut a 4096-element walk by 12% but held 360 KB, not 200,
+# and doubled small ones' times (one CPU, 128 KB mmap threshold).
+_LEVEL_BLOCK_CELLS = 1 << 14
 
 
 def _table_row_bytes(ctx: _engine.TableContext) -> int:
@@ -267,21 +275,28 @@ def _exhaustive_levels(context: Context, n: int) -> List[np.ndarray]:
 
     The levels are cached on the context next to its circle table and
     extended only as far as a call asks, so calls at several degrees walk
-    each level once, in any order.  Each new level marks every
-    circle-table entry of the previous level's values in a membership mask
-    of length size, a block of table rows at a time, clears zero and reads
-    the marked ids back.
+    each level once, in any order.  Each new level copies the previous
+    level's table rows, a block at a time, into one index buffer, marks them
+    in a membership mask of length size, clears zero and reads the marked
+    ids back.  Degree 2 reads each block from its first row's column on: as
+    a o b = ab + ba = b o a, the upper triangle holds every value.
     """
     table, zero_id = _full_circle_table(context)
     size = table.shape[0]
     levels = getattr(context, "_circle_levels", None)
     if levels is None:
         levels = context._circle_levels = []
+    step = min(size, max(1, _LEVEL_BLOCK_CELLS // size))
+    buf = np.empty(step * size, dtype=np.intp)
     while len(levels) < n - 1 and (not levels or levels[-1].size):
-        values = levels[-1] if levels else np.flatnonzero(np.arange(size) != zero_id)
+        values = levels[-1] if levels else np.arange(size)
         seen = np.zeros(size, dtype=bool)
-        for lo in range(0, values.size, _LEVEL_BLOCK_ROWS):
-            seen[table[values[lo:lo + _LEVEL_BLOCK_ROWS]]] = True
+        for lo in range(0, values.size, step):
+            rows = values[lo:lo + step]
+            first = 0 if levels else lo         # degree 2: values[lo] is lo
+            block = buf[:rows.size * (size - first)].reshape(rows.size, -1)
+            block[...] = table[rows, first:]
+            seen[block] = True
         seen[zero_id] = False
         level = np.flatnonzero(seen)
         level.setflags(write=False)
@@ -298,12 +313,13 @@ def exhaustive_check(context: Context, n: int) -> bool:
     by coordinate, which uses only that addition is commutative and
     associative with 0 as its identity and that 0 annihilates; it assumes
     no distributivity and no additivity in a slot, so it is independent of
-    the spanning reduction.  Each level's set is a membership mask over
-    every element id, and the sets are cached on the context, a bare ring
-    included (see _exhaustive_levels).
+    the spanning reduction.  Commutative addition makes the table symmetric,
+    so degree 2 reads only its upper triangle, rounded out to blocks of
+    rows.  The sets are cached on the context, a bare ring included (see
+    _exhaustive_levels).
     Contexts above EXHAUSTIVE_CAP elements are refused.
     """
-    _check_degree(n)
+    n = _check_degree(n)
     size = context.size if isinstance(context, GroupRing) else context.order
     if size > EXHAUSTIVE_CAP:
         raise TooLarge(

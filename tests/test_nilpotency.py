@@ -8,6 +8,7 @@ and the choice of first counterexample.
 
 import gc
 import tracemalloc
+import types
 import weakref
 from itertools import product
 
@@ -16,7 +17,7 @@ import pytest
 
 from jrl import _engine, nilpotency
 from jrl.cli import main as cli_main
-from jrl.errors import TooLarge
+from jrl.errors import InvalidExponent, TooLarge
 from jrl.groupring import GroupRing, circle, left_normed_jordan, left_normed_lie
 from jrl.groups import BUILTIN_GROUP_NAMES, builtin_group
 from jrl.nilpotency import (
@@ -417,16 +418,62 @@ def unique_level_walk(rg, n):
     return levels
 
 
-@pytest.mark.parametrize("ring,group", [("Z4", "C2"), ("H32", "C1"), ("T2Z4", "C1")])
+# T2Z4[C2] and Z8[C4] take degree 2 from the upper triangle at full size;
+# Z2[D4] and Z2[S3] are over non-abelian groups, Z3[S3] has an odd radix.
+@pytest.mark.parametrize("ring,group", [
+    ("Z4", "C2"), ("H32", "C1"), ("T2Z4", "C1"), ("T2Z4", "C2"), ("Z8", "C4"),
+    ("Z2", "D4"), ("Z2", "S3"), ("Z3", "S3"),
+])
 def test_exhaustive_level_sets_match_unique_walk(ring, group):
-    rg = make(ring, group)
-    for n in (2, 3, 4):
-        want = unique_level_walk(rg, n)
+    rg = make_any(ring, group)
+    walk = unique_level_walk(rg, 6)
+    for n in range(2, 7):
+        want = walk[:n - 1]
         got = list(nilpotency._exhaustive_levels(rg, n))
         assert len(got) == len(want)
         for mine, ref in zip(got, want):
             assert np.array_equal(mine, ref)
         assert exhaustive_check(rg, n) == (want[-1].size == 0)
+
+
+def test_only_degree_2_reads_the_upper_triangle():
+    # a symmetric table whose degree-3 value 2 lies only at [3, 1], below
+    # the diagonal, in a row of degree 2's value 3 and a column (1) that is
+    # no degree-2 value
+    table = np.array([[0, 0, 0, 0],
+                      [0, 3, 0, 2],
+                      [0, 0, 0, 0],
+                      [0, 2, 0, 3]], dtype=np.int16)
+    context = types.SimpleNamespace(_full_circle=(table, 0))
+    levels = nilpotency._exhaustive_levels(context, 4)
+    assert [level.tolist() for level in levels] == [[2, 3], [2, 3], [2, 3]]
+
+
+SMALL_BUILTIN_CONTEXTS = [(r, g) for r in BUILTIN_RING_NAMES for g in BUILTIN_GROUP_NAMES
+                          if builtin_ring(r).order ** builtin_group(g).order <= EXHAUSTIVE_CAP]
+
+
+@pytest.mark.parametrize("ring,group", SMALL_BUILTIN_CONTEXTS + [("Z3", "S3"), ("Z4'", "C2xC2")])
+def test_circle_table_is_symmetric(ring, group):
+    # a o b = ab + ba = b o a, which degree 2 of the level walk rests on
+    table, _ = nilpotency._full_circle_table(make_any(ring, group))
+    assert np.array_equal(table, table.T)
+
+
+@pytest.mark.parametrize("ring,group", [("T2Z4", "C2"), ("Z8", "C4")])
+def test_exhaustive_levels_transient_memory(ring, group):
+    # with the table built, the walk holds at most 1 MB next to it; a copy
+    # of the degree-2 rows, table[values], would take 32 MB
+    rg = make(ring, group)
+    nilpotency._full_circle_table(rg)
+    tracemalloc.start()
+    try:
+        levels = nilpotency._exhaustive_levels(rg, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert levels[0].size > 0
+    assert peak <= 1 << 20, peak
 
 
 @pytest.mark.parametrize("ring,group", [("Z8", "C2"), ("Z4", "C1"), ("T2Z4", "C1")])
@@ -601,3 +648,35 @@ def test_degree_bounds_are_enforced():
         lie_vanishes_left_normed(S, 0)
     with pytest.raises(ValueError):
         exhaustive_check(make("Z2", "C2"), 1)
+
+
+def no_table_work(monkeypatch):
+    """Make every table build and every table-context lookup fail."""
+    def refuse(*args):
+        raise AssertionError("table work before the degree check")
+    for name in ("_full_circle_table", "_exhaustive_levels", "_table_context"):
+        monkeypatch.setattr(nilpotency, name, refuse)
+
+
+@pytest.mark.parametrize("n", [3.0, "3", None, True, False, np.float64(4), np.True_])
+def test_non_integer_degrees_raise_invalid_exponent(monkeypatch, n):
+    S = spanning_set(make("Z2", "C2"))
+    rg = make("T2Z4", "C2")
+    no_table_work(monkeypatch)
+    with pytest.raises(InvalidExponent):
+        exhaustive_check(rg, n)
+    with pytest.raises(InvalidExponent):
+        vanishes_left_normed(S, n)
+    with pytest.raises(InvalidExponent):
+        lie_vanishes_left_normed(S, n)
+    with pytest.raises(InvalidExponent):
+        minimal_jordan_index(S, max_n=n)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.int16(3), np.uint8(3)])
+def test_integer_degrees_are_taken_numpy_ones_included(n):
+    S = spanning_set(make("Z2", "C2"))
+    assert exhaustive_check(make("Z2", "C2"), n) == exhaustive_check(make("Z2", "C2"), 3)
+    assert vanishes_left_normed(S, n) == vanishes_left_normed(S, 3)
+    assert lie_vanishes_left_normed(S, n) == lie_vanishes_left_normed(S, 3)
+    assert minimal_jordan_index(S, max_n=n) == minimal_jordan_index(S, max_n=3)
