@@ -6,10 +6,11 @@ Each LABEL=SRC names a copy of the package.  Every repeat runs each copy in
 three fresh processes, pinned to one CPU with MALLOC_MMAP_THRESHOLD_=131072
 (the benchmark's allocator setting), alternating which copy goes first.
 One process times, end to end, run_identity_suite on the four `identities`
-workload items and on all 81 built-in (ring, group) contexts (criterion 2
-of tests/test_acceptance.py), and the search against exhaustive_check at
-degrees 2-4 on the 31 contexts of at most 4096 elements (criterion 3),
-building each GroupRing outside the timer.
+workload items, with each check's own IdentityCheck.ms (so the exhaustive
+and sampled tiers show apart), and on all 81 built-in (ring, group)
+contexts (criterion 2 of tests/test_acceptance.py), and the search
+against exhaustive_check at degrees 2-4 on the 31 contexts of at most
+4096 elements (criterion 3), building each GroupRing outside the timer.
 Another times layers on a heap that no suite has used, as the history
 of earlier allocations moves in-process times: the median of several
 calls of table validation (FiniteGroup and FiniteRing on the built-in
@@ -107,10 +108,10 @@ def suite():
     def timed(r, g):
         rg = GroupRing(builtin_ring(r), builtin_group(g))
         start = time.perf_counter()
-        run_identity_suite(rg)
-        return time.perf_counter() - start
-    items = {f"{r}[{g}]": timed(r, g) * 1e3 for r, g in ITEMS}
-    total = sum(timed(r, g) for r in BUILTIN_RING_NAMES for g in BUILTIN_GROUP_NAMES)
+        checks = run_identity_suite(rg)
+        return time.perf_counter() - start, {c.name: c.ms for c in checks}
+    items = {f"{r}[{g}]": timed(r, g) for r, g in ITEMS}
+    total = sum(timed(r, g)[0] for r in BUILTIN_RING_NAMES for g in BUILTIN_GROUP_NAMES)
     small = [rg for rg in (GroupRing(builtin_ring(r), builtin_group(g))
                            for r in BUILTIN_RING_NAMES for g in BUILTIN_GROUP_NAMES)
              if rg.size <= EXHAUSTIVE_CAP]
@@ -119,7 +120,8 @@ def suite():
         S = spanning_set(rg)
         for n in (2, 3, 4):
             assert exhaustive_check(rg, n) == bool(vanishes_left_normed(S, n)), (rg.name, n)
-    return {"items_ms": items, "criterion2_s": total,
+    return {"items_ms": {k: s * 1e3 for k, (s, _) in items.items()},
+            "checks_ms": {k: checks for k, (_, checks) in items.items()}, "criterion2_s": total,
             "criterion3_s": time.perf_counter() - start}
 
 
@@ -161,6 +163,8 @@ def main(argv):
             "repeats": len(rs),
             "items_ms": {k: round(median(r["items_ms"][k] for r in rs), 1)
                          for k in rs[0]["items_ms"]},
+            "checks_ms": {k: {c: round(median(r["checks_ms"][k][c] for r in rs), 2)
+                              for c in checks} for k, checks in rs[0]["checks_ms"].items()},
             **{k: round(median(r[k] for r in rs), 3) for k in CRITERIA},
             **{k + "_all": [round(r[k], 3) for r in rs] for k in CRITERIA},
             "layers_ms": {k: round(median(r["layers_ms"][k] for r in rs), 3)

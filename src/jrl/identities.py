@@ -7,10 +7,14 @@ sides of the identity for a batch of tuples.  One rule runs every row: a
 domain of at most EXHAUSTIVE_CELL_LIMIT tuples is enumerated, a larger one
 is sampled with a generator seeded by seed + offset, so runs are
 reproducible, and the sampled checks together see at least
-MIN_SAMPLED_AGGREGATE tuples.  Element checks take rows, or element ids
-where every pair of elements can be enumerated (see _element_ids).  A
-check's ms runs from the end of the one before, so set-up is charged to the
-first check and the id tables to the first element check.
+MIN_SAMPLED_AGGREGATE tuples.  An enumerated domain arrives as an open mesh,
+its leading coordinates flat and each trailing one an arange on its own axis
+(element rows, which carry a |G| axis, stay flat), so a test must broadcast,
+and a factor of a few coordinates is computed once at its own size.  Element
+checks take rows, or element ids where every pair of elements can be
+enumerated (see _element_ids).  A check's ms runs from the end of the one
+before, so set-up is charged to the first check and the id tables to the
+first element check.
 """
 
 from __future__ import annotations
@@ -75,9 +79,9 @@ def _element_ids(ctx: _engine.TableContext) -> SimpleNamespace:
 
 def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tuple:
     """The suite's rows, (name, domain, seed offset, test): a test maps one
-    coordinate array per domain entry to both sides of its identity, in the
-    context's canonical ring ids.  The element checks take rows, or ids
-    when element_ids is given."""
+    coordinate array per domain entry, the arrays broadcastable against
+    each other, to both sides of its identity, in the context's canonical
+    ring ids.  The element checks take rows, or ids when element_ids is given."""
     ctx = _engine.table_context(rg)
     ng, nr, rmul, one = ctx.ng, ctx.nr, ctx.rmul, int(ctx.canon[rg.ring.one])
     add, neg, mul, circle, bracket = (partial(f, ctx) for f in (
@@ -107,12 +111,14 @@ def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tu
         same = {frozenset((id(p), id(q))): np.equal(p, q)
                 for i, p in enumerate(places) for q in places[:i]}
 
-        def sums(terms):               # [tuple, place] = the side's sum there
-            side = np.empty((len(places), places[0].size), dtype=np.int16)
+        shape = np.broadcast_shapes(*(np.shape(a) for term in lhs + rhs for a in term))
+
+        def sums(terms):               # [..., place] = the side's sum there
+            side = np.empty((len(places),) + shape, dtype=np.int16)
             for a, q in enumerate(places):
                 side[a] = reduce(add, [c if p is q else np.where(
                     same[frozenset((id(p), id(q)))], c, 0) for p, c in terms])
-            return side.T
+            return np.moveaxis(side, 0, -1)
         return sums(lhs), sums(rhs)
 
     def mono_circle(r, x, s, y, yx):   # (r x) o (s y) = rs xy + sr yx
@@ -193,6 +199,21 @@ def check_table(rg: GroupRing, element_ids: SimpleNamespace | None = None) -> tu
     )
 
 
+def _split(shape) -> int:
+    """The first t >= 1 with at most _MONO_CHUNK tuples in shape[t:]."""
+    return next((t for t in range(1, len(shape)) if math.prod(shape[t:]) <= _MONO_CHUNK),
+                len(shape))
+
+
+def _mesh(shape, t: int, at: np.ndarray) -> list:
+    """One chunk as an open mesh: the leading coordinates of the flat
+    positions at, each (k, 1, ...), and each trailing one an arange on its own axis."""
+    trail = shape[t:]
+    return ([c.reshape((-1,) + (1,) * len(trail)) for c in np.unravel_index(at, shape[:t])]
+            + [np.arange(d).reshape((d,) + (1,) * (len(trail) - 1 - i))
+               for i, d in enumerate(trail)])
+
+
 def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
                        seed: int = 0) -> List[IdentityCheck]:
     """Run every identity check against one context and report each one."""
@@ -218,16 +239,21 @@ def run_identity_suite(rg: GroupRing, samples: int = DEFAULT_SAMPLES,
             drawn = [encode(rng.integers(0, nr, size=(samples, ng)).astype(np.int16))
                      if d is E else rng.integers(0, d, size=samples) for d in dims]
             count = samples
+        # sampled tuples, and element rows with their |G| axis, stay flat
+        t = _split(shape) if exhaustive and (rows is None or E not in dims) else len(shape)
+        trail = tuple(shape[t:])
+        lead, step = count // math.prod(trail), _MONO_CHUNK // math.prod(trail)
         bad = 0
-        for lo in range(0, count, _MONO_CHUNK):
-            at = np.arange(lo, min(lo + _MONO_CHUNK, count))
+        for lo in range(0, lead, step):
+            at = np.arange(lo, min(lo + step, lead))
             if exhaustive:
                 coords = [rows[c] if d is E and rows is not None else c
-                          for d, c in zip(dims, np.unravel_index(at, shape))]
+                          for d, c in zip(dims, _mesh(shape, t, at))]
             else:
                 coords = [c[at] for c in drawn]
-            lhs, rhs = test(*coords)
-            bad += int(np.not_equal(lhs, rhs).reshape(at.size, -1).any(axis=1).sum())
+            neq = np.not_equal(*test(*coords))     # any axes past the mesh are per tuple
+            bad += int(np.broadcast_to(neq.any(tuple(range(1 + len(trail), neq.ndim))),
+                                       (at.size,) + trail).sum())
         end = time.perf_counter()
         checks.append(IdentityCheck(
             name, "exhaustive" if exhaustive else "sampled", count, bad, (end - start) * 1e3))

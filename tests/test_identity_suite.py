@@ -1,13 +1,14 @@
 """The identity suite itself: modes, determinism, sampling floor, and a
 negative control proving the checks can actually fail."""
 
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from jrl import identities
+from jrl import _engine, identities
 from jrl.groupring import GroupRing, circle, lie_bracket
 from jrl.groups import FiniteGroup, builtin_group
 from jrl.identities import (
@@ -252,6 +253,95 @@ def test_monomial_expansion_chunk_memory_is_bounded():
         tracemalloc.stop()
     assert bad == 0
     assert peak <= 4 << 20
+
+
+def test_monomial_expansion_mesh_chunk_memory_is_bounded():
+    # The suite's own chunk of the (r, s, x, y) mesh over M2F2[D4xD4]: the
+    # domain (16, 16, 64, 64) splits after r, so a chunk is one r against
+    # every s, x and y, and factors of (x, y) alone are 64 x 64 arrays.
+    rg = make("M2F2", "D4xD4")
+    tests = {name: (dims, test) for name, dims, _, test in identities.check_table(rg)}
+    dims, test = tests["monomial-circle-expansion"]
+    t = identities._split(dims)
+    step = identities._MONO_CHUNK // math.prod(dims[t:])
+    tracemalloc.start()
+    try:
+        lhs, rhs = test(*identities._mesh(dims, t, np.arange(step)))
+        bad = int(np.not_equal(lhs, rhs).any(axis=-1).sum())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (t, step, bad) == (1, 1, 0)
+    assert peak <= 4 << 20
+
+
+# --- mesh enumeration ---------------------------------------------------------
+
+MESH_CONTEXTS = {
+    "Z8-C2": lambda: make("Z8", "C2"),
+    "Z4broken-C2": lambda: GroupRing(broken_z4(), builtin_group("C2")),
+    "Z4-D4inverse": lambda: GroupRing(builtin_ring("Z4"), broken_group("D4", "inverse")),
+    "M2F2-S3table": lambda: GroupRing(builtin_ring("M2F2"), broken_group("S3", "table")),
+}
+
+
+MESH_CASES = [  # context, on rows?, chunk sizes, the splits of 4- and 3-coordinate domains
+    # the exhaustive 3-ary element checks' (64, 64, 64) split at 3 and 2
+    ("Z8-C2", False, (50, 100), {1}, {1, 2, 3}),
+    # (r, s, x, y) = (4, 4, 2, 2) and (a, b, c) = (4, 4, 4) split at 3, 2, 1
+    ("Z4broken-C2", False, (3, 12, 100), {1, 2, 3}, {1, 2, 3}),
+    ("Z4-D4inverse", False, (16, 100, 1000), {1, 2, 3}, {1, 2}),
+    ("M2F2-S3table", False, (12, 100), {2, 3}, {1, 2, 3}),
+    ("Z4broken-C2", True, (12, 100), {1, 2}, {1, 2}),
+]
+
+
+@pytest.mark.parametrize("name,rows,chunks,splits4,splits3", MESH_CASES,
+                         ids=[case[0] + "-rows" * case[1] for case in MESH_CASES])
+def test_mesh_equals_flat_enumeration(monkeypatch, name, rows, chunks, splits4, splits3):
+    # Smaller chunks move the split between the flat leading coordinates
+    # and the mesh's trailing ones; every check must count the same tuples
+    # and the same failures wherever it falls (or with no mesh at all).
+    if rows:
+        monkeypatch.setattr(identities, "_element_ids", lambda ctx: None)
+    expected = [(c.name, c.mode, c.tuples, c.failures)
+                for c in run_identity_suite(MESH_CONTEXTS[name](), seed=3)]
+    seen, split = set(), identities._split
+    monkeypatch.setattr(identities, "_split", lambda shape: seen.add(
+        (len(shape), split(shape))) or split(shape))
+    for chunk in chunks:
+        monkeypatch.setattr(identities, "_MONO_CHUNK", chunk)
+        checks = run_identity_suite(MESH_CONTEXTS[name](), seed=3)
+        assert [(c.name, c.mode, c.tuples, c.failures) for c in checks] == expected, chunk
+    assert {t for k, t in seen if k == 4} == splits4
+    assert {t for k, t in seen if k == 3} == splits3
+
+
+def test_sides_that_ignore_a_coordinate_count_every_tuple(monkeypatch):
+    # A test need only return sides that broadcast against the mesh: these
+    # depend on x alone, and each failing x fails for every y with it.
+    row = ("x-only", (3, 5), 0, lambda x, y: (x, 0))
+    monkeypatch.setattr(identities, "check_table", lambda rg, element_ids=None: (row,))
+    [check] = run_identity_suite(make("Z2", "C2"))
+    assert (check.mode, check.tuples, check.failures) == ("exhaustive", 15, 10)
+
+
+@pytest.mark.parametrize("rg", [
+    lambda: GroupRing(builtin_ring("Z4"), broken_group("D4", "inverse")),
+    lambda: GroupRing(builtin_ring("M2F2"), broken_group("S3", "table")),
+    lambda: GroupRing(broken_z4(), builtin_group("D4")),
+], ids=["Z4-D4inverse", "M2F2-S3table", "Z4broken-D4"])
+def test_rows_circle_and_bracket_stay_literal(rg):
+    # ab + ba and ab - ba, each term at its own g: a fold that pairs the
+    # BA term at g with h g^-1 regroups by group axioms, which a corrupted
+    # group breaks, and changes the suite's pinned failure counts.
+    ctx = _engine.table_context(rg())
+    rng = np.random.default_rng(7)
+    A, B = (rng.integers(0, ctx.nr, size=(200, ctx.ng)).astype(np.int16) for _ in range(2))
+    ab, ba = _engine.rows_mul(ctx, A, B), _engine.rows_mul(ctx, B, A)
+    np.testing.assert_array_equal(_engine.rows_circle(ctx, A, B), _engine.rows_add(ctx, ab, ba))
+    np.testing.assert_array_equal(_engine.rows_bracket(ctx, A, B),
+                                  _engine.rows_add(ctx, ab, _engine.rows_neg(ctx, ba)))
 
 
 # --- element checks on id tables ----------------------------------------------
