@@ -28,11 +28,13 @@ rings and groups that nothing has classified yet, and sums its records'
 classify_ms and search_ms.
 The medians over the repeats go into BENCH_<NAME>.json at the repository
 root, under each label, with the machine's nproc, Python and numpy; labels
-already in the file are kept.
+already in the file are kept.  Beside every median, KEY_quartiles holds
+the lower and upper quartiles of the same repeats (statistics.quantiles,
+as perfbench/stats.py takes them; both equal the one value at one repeat).
 """
 
 import json, os, platform, subprocess, sys, time
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITEMS = [("Z8", "C2"), ("Z2", "D4"), ("M2F2", "D4xD4"), ("T2Z4", "D4xD4")]
@@ -135,6 +137,17 @@ def catalog():
             "search_ms": sum(r.search_ms for r in records)}
 
 
+def spread(samples, digits):
+    """The median of per-repeat samples and their [lower, upper] quartiles,
+    taken leaf by leaf through dicts of the same keys."""
+    if isinstance(samples[0], dict):
+        leaves = {k: spread([s[k] for s in samples], digits) for k in samples[0]}
+        return ({k: mid for k, (mid, _) in leaves.items()},
+                {k: quart for k, (_, quart) in leaves.items()})
+    q1, _, q3 = quantiles(samples, n=4) if len(samples) > 1 else samples * 3
+    return round(median(samples), digits), [round(q1, digits), round(q3, digits)]
+
+
 PARTS = {"suite": suite, "layers": lambda: {"layers_ms": layers()}, "catalog": catalog}
 
 
@@ -159,16 +172,11 @@ def main(argv):
     doc["machine"] = {"nproc": os.cpu_count(), "python": platform.python_version(),
                       "numpy": numpy.__version__, "pinned_cpu": cpu}
     for label, rs in runs.items():
-        doc.setdefault("runs", {})[label] = {
-            "repeats": len(rs),
-            "items_ms": {k: round(median(r["items_ms"][k] for r in rs), 1)
-                         for k in rs[0]["items_ms"]},
-            "checks_ms": {k: {c: round(median(r["checks_ms"][k][c] for r in rs), 2)
-                              for c in checks} for k, checks in rs[0]["checks_ms"].items()},
-            **{k: round(median(r[k] for r in rs), 3) for k in CRITERIA},
-            **{k + "_all": [round(r[k], 3) for r in rs] for k in CRITERIA},
-            "layers_ms": {k: round(median(r["layers_ms"][k] for r in rs), 3)
-                          for k in rs[0]["layers_ms"]}}
+        rec = doc.setdefault("runs", {})[label] = {"repeats": len(rs)}
+        for key, digits in (("items_ms", 1), ("checks_ms", 2), *((k, 3) for k in CRITERIA),
+                            ("layers_ms", 3)):
+            rec[key], rec[key + "_quartiles"] = spread([r[key] for r in rs], digits)
+        rec.update({k + "_all": [round(r[k], 3) for r in rs] for k in CRITERIA})
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
     print(json.dumps(doc["runs"], indent=1))

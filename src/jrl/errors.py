@@ -47,7 +47,11 @@ class ContextMismatch(AlgebraError):
 
 
 class InvalidExponent(AlgebraError, ValueError):
-    """A Jordan power with exponent below 1, or a search degree below 2."""
+    """A search degree that is not an integer of at least 2."""
+
+
+class InvalidElement(AlgebraError, ValueError):
+    """Group-ring coefficients of the wrong count, or indices not integers in range."""
 
 
 class EmptySequence(AlgebraError):

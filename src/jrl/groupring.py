@@ -8,9 +8,10 @@ kernels that are tested against these functions.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence, Tuple
 
-from .errors import ContextMismatch, EmptySequence, InvalidExponent
+from .errors import ContextMismatch, EmptySequence, InvalidElement
 from .groups import FiniteGroup
 from .rings import FiniteRing
 
@@ -36,12 +37,10 @@ class GroupRing:
 
     def element(self, coeffs: Sequence[int]) -> "GroupRingElement":
         if len(coeffs) != self.group.order:
-            raise ValueError(
+            raise InvalidElement(
                 f"need {self.group.order} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if not (0 <= c < self.ring.order):
-                raise ValueError(f"coefficient index {c} out of range")
-        return GroupRingElement(self, tuple(int(c) for c in coeffs))
+        return GroupRingElement(
+            self, tuple(_index(c, self.ring.order, "coefficient index") for c in coeffs))
 
     def zero(self) -> "GroupRingElement":
         return GroupRingElement(self, (self.ring.zero,) * self.group.order)
@@ -51,11 +50,22 @@ class GroupRing:
 
     def embed(self, r: int, g: int) -> "GroupRingElement":
         """The monomial r*g."""
-        if not (0 <= r < self.ring.order and 0 <= g < self.group.order):
-            raise ValueError(f"monomial {r}@{g} out of range")
+        r = _index(r, self.ring.order, "monomial coefficient")
+        g = _index(g, self.group.order, "monomial group index")
         coeffs = [self.ring.zero] * self.group.order
-        coeffs[g] = int(r)
+        coeffs[g] = r
         return GroupRingElement(self, tuple(coeffs))
+
+
+def _index(value, bound: int, what: str) -> int:
+    """value as an int in [0, bound); operator.index refuses a float or None."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise InvalidElement(f"{what} must be an integer, got {value!r}") from None
+    if not 0 <= i < bound:
+        raise InvalidElement(f"{what} {i} out of range [0,{bound - 1}]")
+    return i
 
 
 class GroupRingElement:
@@ -155,13 +165,6 @@ def left_normed_lie(factors: Sequence[GroupRingElement]) -> GroupRingElement:
     for f in factors[1:]:
         acc = lie_bracket(acc, f)
     return acc
-
-
-def jordan_power(a: GroupRingElement, n: int) -> GroupRingElement:
-    """a o a o ... o a, left-normed, n factors."""
-    if n < 1:
-        raise InvalidExponent(f"exponent must be >= 1, got {n}")
-    return left_normed_jordan([a] * n)
 
 
 def format_element(a: GroupRingElement) -> str:

@@ -7,9 +7,8 @@ the kernels: _as_table (entry checks), _first_assoc_failure,
 _first_unfixed (identities: G's e, R's zero and one), _inverse_scan
 (inverses in G, negation in R), _generated (derived_subgroup and
 FiniteRing.additive_generating_set), _powers (element_order,
-FiniteRing.characteristic, commutator_span_condition and
-_engine._cyclic_fields) and _commutators (derived_subgroup,
-commutator_span_condition and identities.check_table).
+FiniteRing.characteristic and _engine._cyclic_fields) and _commutators
+(derived_subgroup and identities.check_table).
 """
 
 from __future__ import annotations
@@ -138,10 +137,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self._inv[a])
 
-    def conj(self, x: int, y: int) -> int:
-        """x conjugated by y: y^-1 x y."""
-        return self.mul(self.mul(self.inv(y), x), y)
-
     def commutator(self, x: int, y: int) -> int:
         """x^-1 y^-1 x y."""
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
@@ -205,22 +200,6 @@ def is_central(G: FiniteGroup, members: Sequence[int]) -> bool:
     return all(m in z for m in members)
 
 
-def squares_central(G: FiniteGroup) -> bool:
-    """True when every squared element commutes with the whole group."""
-    z = set(center(G).members)
-    return all(G.mul(g, g) in z for g in G.elements())
-
-
-def commutator_span_condition(G: FiniteGroup) -> bool:
-    """True when every nontrivial commutator (x,y) has all commutators
-    of the form (y,z) inside the cyclic subgroup it generates."""
-    comm = _commutators(G.table, G._inv)
-    span = np.zeros((G.order, G.order), dtype=bool)   # [s, t]: t in <s>
-    span[np.arange(G.order), _powers(G.table, G.identity)] = True
-    # row s of comm is (x, y) over y: one x at a time keeps memory O(|G|^2)
-    return not any((~span[s[:, None], comm] & (s != G.identity)[:, None]).any() for s in comm)
-
-
 def iso_class(H: Subgroup) -> str:
     """Coarse isomorphism tag: "C1", "C<n>" for cyclic, "C2xC2", else "other".
 
@@ -228,19 +207,12 @@ def iso_class(H: Subgroup) -> str:
     suffices for the subgroups the classifier inspects.
     """
     n = H.order
-    if n == 1:
-        return "C1"
-    G = H.parent
-    orders = sorted(G.element_order(m) for m in H.members)
+    orders = sorted(H.parent.element_order(m) for m in H.members)
     if max(orders) == n:
         return f"C{n}"
     if n == 4 and orders == [1, 2, 2, 2]:
         return "C2xC2"
     return "other"
-
-
-def is_cyclic(H: Subgroup) -> bool:
-    return H.order == 1 or any(H.parent.element_order(m) == H.order for m in H.members)
 
 
 # ---------------------------------------------------------------------------

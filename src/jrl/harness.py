@@ -35,7 +35,7 @@ class CrossCheckRecord:
     predicted: ClassificationResult
     oracle: Optional[int]          # minimal index, None when past the bound
     status: str                    # Agree | Disagree
-    elapsed_ms: float              # classify_ms + search_ms
+    elapsed_ms: float = field(compare=False)   # classify_ms + search_ms
     classify_ms: float = field(default=0.0, compare=False)
     search_ms: float = field(default=0.0, compare=False)
 
@@ -106,12 +106,6 @@ def crosscheck(entries: Sequence[CatalogEntry], max_n: int = 4,
 REPORT_HEADER = "ring\tgroup\tpredicted\tclause\toracle\tstatus\tms"
 
 
-def _strip_builtin(name: str) -> str:
-    if name.startswith(BUILTIN_PREFIX):
-        return name[len(BUILTIN_PREFIX):]
-    return name
-
-
 def report_lines(records: Sequence[CrossCheckRecord]) -> List[str]:
     lines = [REPORT_HEADER]
     for rec in records:
@@ -120,8 +114,8 @@ def report_lines(records: Sequence[CrossCheckRecord]) -> List[str]:
         clause = rec.predicted.clause or "-"
         oracle = str(rec.oracle) if rec.oracle is not None else "none<=bound"
         lines.append("\t".join([
-            _strip_builtin(rec.entry.ring_name),
-            _strip_builtin(rec.entry.group_name),
+            rec.entry.ring_name.removeprefix(BUILTIN_PREFIX),
+            rec.entry.group_name.removeprefix(BUILTIN_PREFIX),
             predicted, clause, oracle, rec.status,
             f"{rec.elapsed_ms:.1f}",
         ]))

@@ -68,11 +68,6 @@ def spanning_set(context: Context) -> SpanningSet:
     gens = rg.ring.additive_generating_set()
     pairs = tuple((r, g) for r in gens for g in rg.group.elements())
     monos = tuple(rg.embed(r, g) for r, g in pairs)
-    # the generators span R additively by construction; every group index
-    # appears, so the monomials span the whole coefficient module
-    covered = {g for _, g in pairs}
-    if gens and covered != set(rg.group.elements()):
-        raise AssertionError("spanning monomials missed a group element")
     return SpanningSet(context, monos, pairs)
 
 
@@ -219,10 +214,10 @@ def _table_row_bytes(ctx: _engine.TableContext) -> int:
     return (2 if native else 12) * ctx.nr ** ctx.ng + (12 if native else 18) * ctx.ng ** 2 * ctx.nr
 
 
-def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
+def _full_circle_table(context: Context) -> np.ndarray:
     """Pairwise circle products over every element of the context, as a
-    (size, size) table of element ids, and the id of zero.  Cached on the
-    context; a bare ring caches its own, arrays only, so no cycle.
+    (size, size) table of element ids.  Cached on the context; a bare ring
+    caches its own, arrays only, so no cycle.
 
     Plane h of a o b is the sum over x in G of a_{h x^-1} b_x + b_x a_{x^-1 h},
     and the two terms that hold b_x are plane h of a o (b_x x), the product
@@ -264,8 +259,8 @@ def _full_circle_table(context: Context) -> Tuple[np.ndarray, int]:
             total = adder.add(ids[:, x, :, None], total[:, None], out=out).reshape(n, -1)
         if ng == 1:
             table[lo:hi] = total
-    context._full_circle = (table, 0)
-    return table, 0
+    context._full_circle = table
+    return table
 
 
 def _exhaustive_levels(context: Context, n: int) -> List[np.ndarray]:
@@ -281,7 +276,7 @@ def _exhaustive_levels(context: Context, n: int) -> List[np.ndarray]:
     ids back.  Degree 2 reads each block from its first row's column on: as
     a o b = ab + ba = b o a, the upper triangle holds every value.
     """
-    table, zero_id = _full_circle_table(context)
+    table = _full_circle_table(context)
     size = table.shape[0]
     levels = getattr(context, "_circle_levels", None)
     if levels is None:
@@ -297,7 +292,7 @@ def _exhaustive_levels(context: Context, n: int) -> List[np.ndarray]:
             block = buf[:rows.size * (size - first)].reshape(rows.size, -1)
             block[...] = table[rows, first:]
             seen[block] = True
-        seen[zero_id] = False
+        seen[0] = False                         # zero is id 0
         level = np.flatnonzero(seen)
         level.setflags(write=False)
         levels.append(level)

@@ -118,15 +118,9 @@ class FiniteRing:
     def neg(self, a: int) -> int:
         return int(self._neg[a])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def circle(self, a: int, b: int) -> int:
         """Jordan product ab + ba inside the ring."""
         return self.add(self.mul(a, b), self.mul(b, a))
-
-    def dbl(self, a: int) -> int:
-        return self.add(a, a)
 
     def characteristic(self) -> int:
         """Additive order of the multiplicative identity."""
@@ -244,14 +238,10 @@ def scalar_plus_strict_upper_3x3(scalar_mod: int) -> FiniteRing:
 BUILTIN_RING_NAMES = ("Z2", "Z4", "Z8", "Z16", "M2F2", "T2F2", "T2Z4", "H16", "H32")
 
 
-def _normalize_ring_name(name: str) -> str:
-    return name.replace("(", "").replace(")", "")
-
-
 @lru_cache(maxsize=None)
 def builtin_ring(name: str) -> FiniteRing:
     """Look up a built-in ring; accepts M2(F2)-style spellings too."""
-    key = _normalize_ring_name(name)
+    key = name.replace("(", "").replace(")", "")
     if key == "M2F2":
         return matrix_ring_2x2_gf2()
     if key == "T2F2":

@@ -24,7 +24,7 @@ from jrl._engine import (
     table_context,
     unique_rows_keep_first,
 )
-from jrl.errors import ContextMismatch, EmptySequence, InvalidExponent
+from jrl.errors import AlgebraError, ContextMismatch, EmptySequence, InvalidElement
 from jrl.groupring import (
     GroupRing,
     circle,
@@ -32,7 +32,6 @@ from jrl.groupring import (
     gr_add,
     gr_mul,
     gr_neg,
-    jordan_power,
     left_normed_jordan,
     left_normed_lie,
     lie_bracket,
@@ -125,8 +124,6 @@ def test_left_normed_products_fold_left():
     assert left_normed_jordan([a, b, c]) == circle(circle(a, b), c)
     assert left_normed_jordan([a, b, c, d]) == circle(circle(circle(a, b), c), d)
     assert left_normed_lie([a, b, c]) == lie_bracket(lie_bracket(a, b), c)
-    assert jordan_power(a, 3) == circle(circle(a, a), a)
-    assert jordan_power(a, 1) == a
 
 
 def test_error_types():
@@ -142,12 +139,14 @@ def test_error_types():
         left_normed_jordan([])
     with pytest.raises(EmptySequence):
         left_normed_lie([])
-    with pytest.raises(InvalidExponent):
-        jordan_power(a, 0)
-    with pytest.raises(ValueError):
-        rg1.element([0, 0])
-    with pytest.raises(ValueError):
-        rg1.element([0, 0, 0, 9])
+    # wrong length, out of range, or not an integer: a float must not
+    # truncate to an index
+    for coeffs in ([0, 0], [0, 0, 0, 9], [0, 0, 0, -1], [0, 1.5, 0, 0], [0, 1.0, 0, 0],
+                   [None, 0, 0, 0]):
+        with pytest.raises(InvalidElement):
+            rg1.element(coeffs)
+    assert issubclass(InvalidElement, AlgebraError) and issubclass(InvalidElement, ValueError)
+    assert rg1.element([np.int64(1), 0, np.int16(2), 0]) == rg1.element([1, 0, 2, 0])
 
 
 def test_embed_is_the_monomial_and_checks_its_indices():
@@ -158,8 +157,9 @@ def test_embed_is_the_monomial_and_checks_its_indices():
             coeffs[g] = r
             assert rg.embed(r, g) == rg.element(coeffs)
     # a negative group index must not wrap to the last coefficient
-    for r, g in [(0, -1), (1, -4), (1, 4), (-1, 0), (4, 0)]:
-        with pytest.raises(ValueError):
+    for r, g in [(0, -1), (1, -4), (1, 4), (-1, 0), (4, 0),
+                 (1.5, 0), (1, 2.0), (None, 0), (1, None)]:
+        with pytest.raises(InvalidElement):
             rg.embed(r, g)
 
 
@@ -183,9 +183,10 @@ def test_equality_requires_same_context_object():
 def check_product_circle_expansion(R, a: int, b: int, c: int) -> bool:
     """(ab) o c should expand to a(b o c) + (c o a)b - 2acb inside R."""
     lhs = R.circle(R.mul(a, b), c)
+    acb = R.mul(R.mul(a, c), b)
     rhs = R.add(
         R.mul(a, R.circle(b, c)),
-        R.sub(R.mul(R.circle(c, a), b), R.dbl(R.mul(R.mul(a, c), b))),
+        R.add(R.mul(R.circle(c, a), b), R.neg(R.add(acb, acb))),
     )
     return lhs == rhs
 

@@ -75,6 +75,16 @@ def test_record_splits_time_into_classify_and_search():
                                    rec.elapsed_ms)
 
 
+def test_records_of_one_verdict_are_equal_whatever_their_times():
+    first, second = (crosscheck([B("Z4", "D4")])[0] for _ in range(2))
+    assert first == second
+    retimed = CrossCheckRecord(first.entry, first.predicted, first.oracle, first.status,
+                               first.elapsed_ms + 1.0, first.classify_ms + 0.5,
+                               first.search_ms + 0.5)
+    assert retimed == first
+    assert CrossCheckRecord(first.entry, first.predicted, 3, first.status, 0.0) != first
+
+
 def test_non_z_ring_over_d4xd4_is_searched_and_agrees():
     records = crosscheck([B("T2Z4", "D4xD4")])
     rec = records[0]

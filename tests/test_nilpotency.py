@@ -322,9 +322,9 @@ def batch_table(monkeypatch, rg, rows):
                             rows * nilpotency._table_row_bytes(ctx))
     step = nilpotency._TABLE_BATCH_BYTES // nilpotency._table_row_bytes(ctx)
     calls = spy_product_with_row(monkeypatch)
-    table, zero_id = nilpotency._full_circle_table(rg)
+    table = nilpotency._full_circle_table(rg)
     assert calls == [min(step, rg.size - lo) for lo in range(0, rg.size, step)]
-    return table, zero_id
+    return table
 
 
 def scalar_ids(rg):
@@ -353,10 +353,10 @@ def scalar_ids(rg):
 def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind, rows):
     rg = make_any(ring, group)
     assert kind == id_addition(rg.ring)
-    table, zero_id = batch_table(monkeypatch, rg, rows)
+    table = batch_table(monkeypatch, rg, rows)
     element, element_id = scalar_ids(rg)
     els = [element(i) for i in range(rg.size)]
-    assert zero_id == element_id(rg.zero())
+    assert element_id(rg.zero()) == 0
     for a in range(rg.size):
         for b in range(rg.size):
             assert table[a, b] == element_id(circle(els[a], els[b]))
@@ -376,9 +376,9 @@ def test_full_circle_table_matches_scalar_circle(monkeypatch, ring, group, kind,
 def test_full_circle_table_sampled_against_scalar_circle(monkeypatch, ring, group, kind, rows):
     rg = make_any(ring, group)
     assert kind == id_addition(rg.ring)
-    table, zero_id = batch_table(monkeypatch, rg, rows)
+    table = batch_table(monkeypatch, rg, rows)
     element, element_id = scalar_ids(rg)
-    assert zero_id == element_id(rg.zero())
+    assert element_id(rg.zero()) == 0
     rng = np.random.default_rng(97)
     pairs = rng.integers(0, rg.size, size=(400, 2)).tolist()
     for a in (0, 1, rg.size - 1) + tuple(rng.integers(0, rg.size, size=2).tolist()):
@@ -394,7 +394,7 @@ def test_full_circle_table_transient_memory(ring, group):
     rg = make(ring, group)
     tracemalloc.start()
     try:
-        table, _ = nilpotency._full_circle_table(rg)
+        table = nilpotency._full_circle_table(rg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -405,13 +405,12 @@ def test_full_circle_table_transient_memory(ring, group):
 def unique_level_walk(rg, n):
     """Degree-2..n nonzero value sets, each the np.unique of the previous
     set's whole circle-table rows, stopping after the first empty set."""
-    table, zero_id = nilpotency._full_circle_table(rg)
-    values = np.arange(rg.size)
-    values = values[values != zero_id]
+    table = nilpotency._full_circle_table(rg)
+    values = np.arange(1, rg.size)       # zero is id 0
     levels = []
     for _level in range(2, n + 1):
         values = np.unique(table[values, :])
-        values = values[values != zero_id]
+        values = values[values != 0]
         levels.append(values)
         if values.size == 0:
             break
@@ -444,7 +443,7 @@ def test_only_degree_2_reads_the_upper_triangle():
                       [0, 3, 0, 2],
                       [0, 0, 0, 0],
                       [0, 2, 0, 3]], dtype=np.int16)
-    context = types.SimpleNamespace(_full_circle=(table, 0))
+    context = types.SimpleNamespace(_full_circle=table)
     levels = nilpotency._exhaustive_levels(context, 4)
     assert [level.tolist() for level in levels] == [[2, 3], [2, 3], [2, 3]]
 
@@ -456,7 +455,7 @@ SMALL_BUILTIN_CONTEXTS = [(r, g) for r in BUILTIN_RING_NAMES for g in BUILTIN_GR
 @pytest.mark.parametrize("ring,group", SMALL_BUILTIN_CONTEXTS + [("Z3", "S3"), ("Z4'", "C2xC2")])
 def test_circle_table_is_symmetric(ring, group):
     # a o b = ab + ba = b o a, which degree 2 of the level walk rests on
-    table, _ = nilpotency._full_circle_table(make_any(ring, group))
+    table = nilpotency._full_circle_table(make_any(ring, group))
     assert np.array_equal(table, table.T)
 
 
@@ -603,7 +602,7 @@ def test_ring_conditions_match_definitions():
         got = ring_conditions(R)
         els = range(R.order)
         assert got.two_circle_zero == all(
-            R.dbl(R.circle(a, b)) == R.zero for a in els for b in els)
+            R.add(R.circle(a, b), R.circle(a, b)) == R.zero for a in els for b in els)
         assert got.circle_circle_zero == all(
             R.circle(R.circle(a, b), c) == R.zero
             for a in els for b in els for c in els)

@@ -172,10 +172,8 @@ def test_generating_set_spans_additively(R):
 @pytest.mark.parametrize("R", ALL_RINGS, ids=ring_ids(ALL_RINGS))
 def test_derived_operations(R):
     for a in R.elements():
-        assert R.dbl(a) == R.add(a, a)
         assert R.add(a, R.neg(a)) == R.zero
         for b in R.elements():
-            assert R.sub(a, b) == R.add(a, R.neg(b))
             assert R.circle(a, b) == R.add(R.mul(a, b), R.mul(b, a))
             assert R.circle(a, b) == R.circle(b, a)
 

@@ -13,9 +13,10 @@ import pytest
 from jrl import _engine, groups
 from jrl.errors import (NoIdentity, NoInverse, NotAbelianGroup, NotAssociative,
                         NotDistributive, ValidationError)
-from jrl.groups import (BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group,
-                        commutator_span_condition, derived_subgroup, direct_product)
+from jrl.groups import (BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group, center,
+                        derived_subgroup, direct_product, iso_class)
 from jrl.rings import BUILTIN_RING_NAMES, FiniteRing, builtin_ring, zmod_ring
+from support_groups import cyclic_span
 from support_rings import (permuted_ring, relabelled_z4, scalar_plus_strict_upper_4x4_gf2,
                            z2_times_z6, z3_dual_numbers)
 
@@ -90,12 +91,13 @@ def test_group_facts_match_scalar_definitions(G):
         got = np.flatnonzero(groups._generated(G.table, seed, e)).tolist()
         assert got == sorted(scalar_closure(mul, seed, e)), seed
 
-    def span_ok(x, y):
-        s = comm[x][y]
-        span = {scalar_power(mul, s, k) for k in range(1, orders[s] + 1)}
-        return all(comm[y][z] in span for z in elements)
-    assert commutator_span_condition(G) == all(
-        comm[x][y] == e or span_ok(x, y) for x, y in itertools.product(elements, repeat=2))
+
+@pytest.mark.parametrize("G", BASE_GROUPS, ids=[G.name for G in BASE_GROUPS])
+def test_cyclic_tag_marks_a_generating_member(G):
+    # classify reads the "C<order>" tag; criterion 5 reads it as cyclicity
+    for H in (derived_subgroup(G), center(G)):
+        generated = any(cyclic_span(G, m) == set(H.members) for m in H.members)
+        assert (iso_class(H) == f"C{H.order}") == generated, H.members
 
 
 @pytest.mark.parametrize("R", RINGS, ids=[R.name for R in RINGS])
