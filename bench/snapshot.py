@@ -19,10 +19,10 @@ together), of ring_conditions at bound 4 on each built-in ring, cold (a
 fresh FiniteRing with nothing kept on it, built outside the timer), of
 rows_mul (the fold), rows_add and rows_neg on 1667 x 64
 seeded rows over D4xD4, of the bound-4 search on T2Z4, H32, M2F2 and Z16
-over D4xD4, of the full circle tables of T2Z4[C2], H32[C2] and Z8[C4],
-each on a fresh GroupRing, and of the exhaustive level walk to degree 4
-(`_exhaustive_levels(rg, 4)`) on T2Z4[C2] and Z8[C4], each on a fresh
-GroupRing whose circle table is built outside the timer.
+over D4xD4, and of exhaustive_check(rg, n) for n = 2, 3 and 4 on T2Z4[C2],
+H32[C2] and Z8[C4], each cold, on a fresh GroupRing built outside the
+timer.  One more cold call of each of those checks runs under tracemalloc,
+untimed, for its peak traced memory in KB.
 The third runs the 81-pair crosscheck (`jrl crosscheck`) once, cold, on
 rings and groups that nothing has classified yet, and sums its records'
 classify_ms and search_ms.
@@ -33,19 +33,19 @@ the lower and upper quartiles of the same repeats (statistics.quantiles,
 as perfbench/stats.py takes them; both equal the one value at one repeat).
 """
 
-import json, os, platform, subprocess, sys, time
+import json, os, platform, subprocess, sys, time, tracemalloc
 from statistics import median, quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ITEMS = [("Z8", "C2"), ("Z2", "D4"), ("M2F2", "D4xD4"), ("T2Z4", "D4xD4")]
 RINGS = ("T2Z4", "H32", "M2F2", "Z16")   # over D4xD4
-TABLES = [("T2Z4", "C2"), ("H32", "C2"), ("Z8", "C4")]
-LEVELS = [("T2Z4", "C2"), ("Z8", "C4")]
+CHECKS = [("T2Z4", "C2"), ("H32", "C2"), ("Z8", "C4")]
 CRITERIA = ("criterion2_s", "criterion3_s", "classify_ms", "search_ms")
 
 
 def layers():
-    """ms per layer call, each the median of several calls."""
+    """ms per layer call, each the median of several calls, and the peak KB
+    traced in one cold exhaustive check per context and degree."""
     import numpy as np
     from jrl import _engine, nilpotency
     from jrl.groupring import GroupRing
@@ -85,18 +85,19 @@ def layers():
         rg = GroupRing(builtin_ring(r), builtin_group("D4xD4"))
         S = nilpotency.spanning_set(rg)
         out[f"search4 {r}[D4xD4]"] = ms(lambda: nilpotency.minimal_jordan_index(S, 4), 5)
-    for r, g in TABLES:
-        out[f"circle table {r}[{g}]"] = ms(lambda: nilpotency._full_circle_table(
-            GroupRing(builtin_ring(r), builtin_group(g))), 3)
-
-    def tabled(r, g):
-        rg = GroupRing(builtin_ring(r), builtin_group(g))
-        nilpotency._full_circle_table(rg)
-        return (rg,)
-    for r, g in LEVELS:
-        out[f"exhaustive levels {r}[{g}]"] = ms(lambda rg: nilpotency._exhaustive_levels(rg, 4), 5,
-                                                lambda: tabled(r, g))
-    return out
+    peaks = {}
+    for r, g in CHECKS:
+        def fresh():
+            return (GroupRing(builtin_ring(r), builtin_group(g)),)
+        for n in (2, 3, 4):
+            key = f"exhaustive{n} {r}[{g}]"
+            out[key] = ms(lambda rg: nilpotency.exhaustive_check(rg, n), 5, fresh)
+            rg, = fresh()
+            tracemalloc.start()
+            nilpotency.exhaustive_check(rg, n)
+            peaks[key] = tracemalloc.get_traced_memory()[1] / 1024
+            tracemalloc.stop()
+    return out, peaks
 
 
 def suite():
@@ -148,7 +149,8 @@ def spread(samples, digits):
     return round(median(samples), digits), [round(q1, digits), round(q3, digits)]
 
 
-PARTS = {"suite": suite, "layers": lambda: {"layers_ms": layers()}, "catalog": catalog}
+PARTS = {"suite": suite, "layers": lambda: dict(zip(("layers_ms", "peaks_kb"), layers())),
+         "catalog": catalog}
 
 
 def main(argv):
@@ -174,7 +176,7 @@ def main(argv):
     for label, rs in runs.items():
         rec = doc.setdefault("runs", {})[label] = {"repeats": len(rs)}
         for key, digits in (("items_ms", 1), ("checks_ms", 2), *((k, 3) for k in CRITERIA),
-                            ("layers_ms", 3)):
+                            ("layers_ms", 3), ("peaks_kb", 1)):
             rec[key], rec[key + "_quartiles"] = spread([r[key] for r in rs], digits)
         rec.update({k + "_all": [round(r[k], 3) for r in rs] for k in CRITERIA})
     with open(path, "w") as f:

@@ -22,9 +22,9 @@ final scan stops at the first tile with a nonzero product, taking the
 least (row, monomial) hit across the tile's coefficient groups.  Between
 levels, zero rows are found a word at a time and equal rows merged by
 64-bit keys, each row checked exactly against its key group's first row.
-The full-space circle table takes its terms from product_with_row, the
-circle of rows with every monomial at once: two gathers through the
-same shift tables and one two-term sum.
+The full-space check's circle rows take their terms from
+product_with_row, the circle of rows with every monomial at once: two
+gathers through the same shift tables and one two-term sum.
 """
 
 from __future__ import annotations

@@ -36,6 +36,10 @@ class GroupRing:
         return f"{self.ring.name}[{self.group.name}]"
 
     def element(self, coeffs: Sequence[int]) -> "GroupRingElement":
+        try:
+            coeffs = tuple(coeffs)
+        except TypeError:
+            raise InvalidElement(f"coefficients must be a sequence, got {coeffs!r}") from None
         if len(coeffs) != self.group.order:
             raise InvalidElement(
                 f"need {self.group.order} coefficients, got {len(coeffs)}")

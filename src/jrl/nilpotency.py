@@ -186,26 +186,26 @@ def lie_vanishes_left_normed(S: SpanningSet, n: int) -> bool:
 # full-space oracle
 # ---------------------------------------------------------------------------
 
-# Bytes of buffers that one batch of circle-table rows may hold; a row
-# takes at most _table_row_bytes of them.  At 2^19 a 4096-element context
-# fills its 32 MB table in 78 to 90 batches, and a build's transient
-# memory stays under 0.5 MB.  On one CPU with a 128 KB mmap threshold,
-# those builds took up to 1.1 times as long at 2^18 and 1.7 at 2^17, and
-# no less at 2^20 or 2^21.
+# Bytes of buffers that one batch of circle rows may hold beside the rows
+# themselves; a row takes at most _table_row_bytes of them.  At 2^19 the
+# 4096 rows of a 4096-element context take 78 to 90 batches, and a batch's
+# transient memory stays under 0.5 MB.  On one CPU with a 128 KB mmap
+# threshold, whole tables built in such batches took up to 1.1 times as
+# long at 2^18 and 1.7 at 2^17, and no less at 2^20 or 2^21.
 _TABLE_BATCH_BYTES = 1 << 19
 
-# Table cells per step of the exhaustive level walk, through one index buffer of
-# at most 128 KB.  2^15 cut a 4096-element walk by 12% but held 360 KB, not 200,
-# and doubled small ones' times (one CPU, 128 KB mmap threshold).
+# Circle-row cells marked per step of the exhaustive level walk, through one
+# index buffer of at most 128 KB.  2^15 cut a 4096-element walk by 12% but held
+# 360 KB, not 200, and doubled small ones' times (one CPU, 128 KB mmap threshold).
 _LEVEL_BLOCK_CELLS = 1 << 14
 
 
 def _table_row_bytes(ctx: _engine.TableContext) -> int:
-    """A table row's share of a batch's transient buffers, at most.  Per
+    """A circle row's share of a batch's transient buffers, at most.  Per
     cell of the row: the outer sum's earlier steps and its sums'
     temporaries, 2 bytes where the ring's fields add natively (XOR or
     2^w fields) and 12 where the adder spreads digits to slots of at most
-    an int32 (a 4096-element table needs no wider) and decodes them
+    an int32 (a 4096-element context needs no wider) and decodes them
     through a scratch of that type: 10-11.6 bytes by tracemalloc on Z3[S3]
     and Z6[C4].  Per plane and monomial: product_with_row's two gathers
     and their sum's temporaries, 12 bytes natively and 18 spread
@@ -214,22 +214,48 @@ def _table_row_bytes(ctx: _engine.TableContext) -> int:
     return (2 if native else 12) * ctx.nr ** ctx.ng + (12 if native else 18) * ctx.ng ** 2 * ctx.nr
 
 
-def _full_circle_table(context: Context) -> np.ndarray:
-    """Pairwise circle products over every element of the context, as a
-    (size, size) table of element ids.  Cached on the context; a bare ring
-    caches its own, arrays only, so no cycle.
+class _CircleSetup:
+    """What a context's circle rows are computed from, built once and kept on
+    the context beside its levels: its tables, every element as a row, the
+    adder over whole elements (the ring's fields repeated |G| times), each
+    coordinate's place value and the rows per batch.  kept is None until a
+    level keeps rows, then (ids, rows): the circle rows of the increasing
+    element ids.  Arrays and the context's tables only, so a bare ring that
+    keeps it makes no reference cycle."""
+
+    def __init__(self, ctx: _engine.TableContext):
+        nr, ng = ctx.nr, ctx.ng
+        self.ctx, self.size = ctx, nr ** ng
+        self.elements = _engine.element_rows(ctx)
+        self.adder = _engine.Adder(ctx.adder.fields * ng)
+        self.powers = (nr ** np.arange(ng)).astype(np.int16)   # exact: size <= EXHAUSTIVE_CAP
+        self.step = max(1, _TABLE_BATCH_BYTES // _table_row_bytes(ctx))
+        self.kept = None
+
+
+def _circle_setup(context: Context) -> _CircleSetup:
+    setup = getattr(context, "_circle_setup", None)
+    if setup is None:
+        setup = context._circle_setup = _CircleSetup(_table_context(context))
+    return setup
+
+
+def _full_circle_table(context: Context, ids, out: np.ndarray) -> np.ndarray:
+    """The circle table's rows ids, a slice or an array of element ids, into
+    out, a C-contiguous (rows, size) int16 array, which is returned: row a
+    holds the element id of a o b in column b, for every element b.  (The
+    name is the one perfbench/tracer.py hooks; each call is one batch.)
 
     Plane h of a o b is the sum over x in G of a_{h x^-1} b_x + b_x a_{x^-1 h},
     and the two terms that hold b_x are plane h of a o (b_x x), the product
-    with the monomial b_x x.  So one product_with_row call per batch of
-    rows gives every term the batch needs, and each term's planes are
-    encoded as one element id.  An element id is the base-|R| number of its
-    coordinates, coordinate 0 fastest, each a canonical ring id: the
-    mixed-radix number over the ring's fields repeated |G| times, so
-    Adder(fields * |G|) sums whole elements.  Row a of the table is then one
-    outer sum over x of the ids of a o (v x), built one coordinate at a
-    time, the new coordinate on the outer axis so that numpy's inner loop
-    grows to the row length; zero is id 0.
+    with the monomial b_x x.  So one product_with_row call gives every term
+    the rows need, and each term's planes are encoded as one element id.
+    An element id is the base-|R| number of its coordinates, coordinate 0
+    fastest, each a canonical ring id: the mixed-radix number over the
+    ring's fields repeated |G| times, so Adder(fields * |G|) sums whole
+    elements.  Row a is then one outer sum over x of the ids of a o (v x),
+    built one coordinate at a time, the new coordinate on the outer axis so
+    that numpy's inner loop grows to the row length; zero is id 0.
 
     Each entry's defining sum is only regrouped by the coordinate of b,
     which uses that + is commutative and associative; the monomials' other
@@ -237,30 +263,17 @@ def _full_circle_table(context: Context) -> np.ndarray:
     additive identity.  FiniteRing checks all four of every ring it
     accepts.  No distributivity and no additivity in a slot is used.
     """
-    cached = getattr(context, "_full_circle", None)
-    if cached is not None:
-        return cached
-    ctx = _table_context(context)
-    nr, ng = ctx.nr, ctx.ng
-    size = nr ** ng
-    rows = _engine.element_rows(ctx)
-    adder = _engine.Adder(ctx.adder.fields * ng)
-    powers = (nr ** np.arange(ng)).astype(np.int16)   # exact: size <= EXHAUSTIVE_CAP
-    table = np.empty((size, size), dtype=np.int16)
-    step = max(1, _TABLE_BATCH_BYTES // _table_row_bytes(ctx))
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        n = hi - lo
-        terms = _engine.product_with_row(ctx, rows[lo:hi])           # [i, h, x, v]
-        ids = np.einsum("ihxv,h->ixv", terms, powers)                # [i, x, v]
-        total = ids[:, 0]
-        for x in range(1, ng):
-            out = table[lo:hi].reshape(n, nr, -1) if x == ng - 1 else None
-            total = adder.add(ids[:, x, :, None], total[:, None], out=out).reshape(n, -1)
-        if ng == 1:
-            table[lo:hi] = total
-    context._full_circle = table
-    return table
+    setup = _circle_setup(context)
+    nr, ng, n = setup.ctx.nr, setup.ctx.ng, out.shape[0]
+    terms = _engine.product_with_row(setup.ctx, setup.elements[ids])    # [i, h, x, v]
+    codes = np.einsum("ihxv,h->ixv", terms, setup.powers)              # [i, x, v]
+    total = codes[:, 0]
+    for x in range(1, ng):
+        last = out.reshape(n, nr, -1) if x == ng - 1 else None
+        total = setup.adder.add(codes[:, x, :, None], total[:, None], out=last).reshape(n, -1)
+    if ng == 1:
+        out[...] = total
+    return out
 
 
 def _exhaustive_levels(context: Context, n: int) -> List[np.ndarray]:
@@ -268,30 +281,57 @@ def _exhaustive_levels(context: Context, n: int) -> List[np.ndarray]:
     elements, as increasing element ids, for k = 2..n; stops after the
     first empty set.
 
-    The levels are cached on the context next to its circle table and
+    The levels are cached on the context beside its circle set-up and
     extended only as far as a call asks, so calls at several degrees walk
-    each level once, in any order.  Each new level copies the previous
-    level's table rows, a block at a time, into one index buffer, marks them
-    in a membership mask of length size, clears zero and reads the marked
-    ids back.  Degree 2 reads each block from its first row's column on: as
-    a o b = ab + ba = b o a, the upper triangle holds every value.
+    each level once, in any order.  Each new level copies circle rows, a
+    block at a time, into one index buffer, marks them in a membership mask
+    of length size, clears zero and reads the marked ids back.
+
+    Only a table of one batch is ever held whole.  Degree 2 computes every
+    row, a batch at a time into one buffer, and marks each batch while it
+    is still in cache, each block from its first row's column on: as
+    a o b = ab + ba = b o a, the upper triangle holds every value.  Later
+    levels read whole rows, but only those of the previous level's values,
+    and the levels are nested, for any table: L_3 is a set of nonzero
+    products, so L_3 is in L_2, and if L_k is in L_{k-1}, the products
+    v o b with v in L_k are among those with v in L_{k-1}, so L_{k+1} is in
+    L_k.  Degree 3 thus computes the rows of L_2's values once and keeps
+    them, (|L_2|, size), and deeper levels find theirs by np.searchsorted.
+    A context whose table is one batch keeps that batch at degree 2 and
+    computes no row again.
     """
-    table = _full_circle_table(context)
-    size = table.shape[0]
     levels = getattr(context, "_circle_levels", None)
     if levels is None:
         levels = context._circle_levels = []
+    setup = _circle_setup(context)
+    size, batch = setup.size, setup.step
     step = min(size, max(1, _LEVEL_BLOCK_CELLS // size))
     buf = np.empty(step * size, dtype=np.intp)
+
+    def mark(seen, rows):
+        block = buf[:rows.size].reshape(rows.shape)
+        block[...] = rows
+        seen[block] = True
+
     while len(levels) < n - 1 and (not levels or levels[-1].size):
-        values = levels[-1] if levels else np.arange(size)
         seen = np.zeros(size, dtype=bool)
-        for lo in range(0, values.size, step):
-            rows = values[lo:lo + step]
-            first = 0 if levels else lo         # degree 2: values[lo] is lo
-            block = buf[:rows.size * (size - first)].reshape(rows.size, -1)
-            block[...] = table[rows, first:]
-            seen[block] = True
+        if levels and setup.kept is not None:   # rows kept: look them up
+            ids, kept = setup.kept
+            at = np.searchsorted(ids, levels[-1])
+            for i in range(0, at.size, step):
+                mark(seen, kept[at[i:i + step]])
+        else:                                   # degree 2, every row; or 3, L_2's
+            ids = levels[0] if levels else np.arange(size)
+            keep = bool(levels) or batch >= size
+            out = np.empty((ids.size if keep else batch, size), dtype=np.int16)
+            for lo in range(0, ids.size, batch):
+                part = ids[lo:lo + batch]
+                rows = out[lo:lo + batch] if keep else out[:part.size]
+                _full_circle_table(context, part, rows)
+                for i in range(0, part.size, step):
+                    mark(seen, rows[i:i + step, 0 if levels else lo + i:])
+            if keep:
+                setup.kept = (ids, out)
         seen[0] = False                         # zero is id 0
         level = np.flatnonzero(seen)
         level.setflags(write=False)
@@ -304,14 +344,17 @@ def exhaustive_check(context: Context, n: int) -> bool:
 
     Walks the set of degree-k partial values instead of materialising the
     tuple list; that set is exact, so the verdict equals the literal nested
-    loop.  The circle table behind it regroups each product's defining sum
+    loop.  The circle rows behind it regroup each product's defining sum
     by coordinate, which uses only that addition is commutative and
     associative with 0 as its identity and that 0 annihilates; it assumes
     no distributivity and no additivity in a slot, so it is independent of
-    the spanning reduction.  Commutative addition makes the table symmetric,
-    so degree 2 reads only its upper triangle, rounded out to blocks of
-    rows.  The sets are cached on the context, a bare ring included (see
-    _exhaustive_levels).
+    the spanning reduction.  Commutative addition makes the circle table
+    symmetric, so degree 2 reads only its upper triangle, rounded out to
+    blocks of rows.  The table is held whole only where it is one batch:
+    degree 2 streams its rows in batches, and as every later level lies in
+    the degree-2 set, the rows of that set's values, kept from degree 3 on,
+    serve every deeper level.  The sets and those rows are cached on the
+    context, a bare ring included (see _exhaustive_levels).
     Contexts above EXHAUSTIVE_CAP elements are refused.
     """
     n = _check_degree(n)

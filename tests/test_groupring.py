@@ -149,6 +149,14 @@ def test_error_types():
     assert rg1.element([np.int64(1), 0, np.int16(2), 0]) == rg1.element([1, 0, 2, 0])
 
 
+@pytest.mark.parametrize("coeffs", [None, 3, 2.5, object()])
+def test_element_refuses_coefficients_that_are_no_sequence(coeffs):
+    rg = make("Z4", "C4")
+    with pytest.raises(InvalidElement, match="must be a sequence"):
+        rg.element(coeffs)
+    assert rg.element(np.array([1, 0, 2, 0])) == rg.element(iter([1, 0, 2, 0]))
+
+
 def test_embed_is_the_monomial_and_checks_its_indices():
     rg = make("Z4", "C4")
     for r in range(4):

@@ -8,7 +8,6 @@ and the choice of first counterexample.
 
 import gc
 import tracemalloc
-import types
 import weakref
 from itertools import product
 
@@ -313,17 +312,27 @@ def spy_product_with_row(monkeypatch):
     return calls
 
 
+def whole_table(rg, rows=None):
+    """The whole circle table, assembled from _full_circle_table's batches of
+    `rows` rows (None: the context's own batch)."""
+    step = rows or nilpotency._circle_setup(rg).step
+    table = np.empty((rg.size, rg.size), dtype=np.int16)
+    for lo in range(0, rg.size, step):
+        nilpotency._full_circle_table(rg, slice(lo, lo + step), table[lo:lo + step])
+    return table
+
+
 def batch_table(monkeypatch, rg, rows):
-    """The circle table built in batches of `rows` rows (None: the default
-    batch), checking that every batch is one product_with_row call."""
-    ctx = _engine.table_context(rg)
-    if rows is not None:
-        monkeypatch.setattr(nilpotency, "_TABLE_BATCH_BYTES",
-                            rows * nilpotency._table_row_bytes(ctx))
-    step = nilpotency._TABLE_BATCH_BYTES // nilpotency._table_row_bytes(ctx)
+    """whole_table(rg, rows), checking that every batch is one
+    product_with_row call and that a batch of ids in any order gives their
+    rows."""
+    step = rows or nilpotency._circle_setup(rg).step
     calls = spy_product_with_row(monkeypatch)
-    table = nilpotency._full_circle_table(rg)
+    table = whole_table(rg, rows)
     assert calls == [min(step, rg.size - lo) for lo in range(0, rg.size, step)]
+    ids = np.random.default_rng(rg.size).permutation(rg.size)[:step]
+    out = np.empty((ids.size, rg.size), dtype=np.int16)
+    assert np.array_equal(nilpotency._full_circle_table(rg, ids, out), table[ids])
     return table
 
 
@@ -389,23 +398,25 @@ def test_full_circle_table_sampled_against_scalar_circle(monkeypatch, ring, grou
 
 @pytest.mark.parametrize("ring,group", [("T2Z4", "C2"), ("Z8", "C4")])
 def test_full_circle_table_transient_memory(ring, group):
-    # one build of a 4096-element table holds at most 1 MB next to the
-    # 32 MB table itself
+    # one batch of a 4096-element context's rows, at its own batch size,
+    # holds at most 1 MB next to the rows themselves
     rg = make(ring, group)
+    step = nilpotency._circle_setup(rg).step
+    out = np.empty((step, rg.size), dtype=np.int16)
     tracemalloc.start()
     try:
-        table = nilpotency._full_circle_table(rg)
+        nilpotency._full_circle_table(rg, slice(0, step), out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.nbytes == 32 << 20
-    assert peak - table.nbytes <= 1 << 20, peak - table.nbytes
+    assert 1 < step < rg.size
+    assert peak <= 1 << 20, peak
 
 
 def unique_level_walk(rg, n):
     """Degree-2..n nonzero value sets, each the np.unique of the previous
     set's whole circle-table rows, stopping after the first empty set."""
-    table = nilpotency._full_circle_table(rg)
+    table = whole_table(rg)
     values = np.arange(1, rg.size)       # zero is id 0
     levels = []
     for _level in range(2, n + 1):
@@ -435,17 +446,29 @@ def test_exhaustive_level_sets_match_unique_walk(ring, group):
         assert exhaustive_check(rg, n) == (want[-1].size == 0)
 
 
-def test_only_degree_2_reads_the_upper_triangle():
+def test_only_degree_2_reads_the_upper_triangle(monkeypatch):
     # a symmetric table whose degree-3 value 2 lies only at [3, 1], below
     # the diagonal, in a row of degree 2's value 3 and a column (1) that is
-    # no degree-2 value
+    # no degree-2 value; it stands in for the rows of a 4-element context,
+    # kept whole from degree 2 on, or computed a row at a time, where
+    # degree 2 reads exactly the upper triangle and degree 3 the rows of
+    # its values
     table = np.array([[0, 0, 0, 0],
                       [0, 3, 0, 2],
                       [0, 0, 0, 0],
                       [0, 2, 0, 3]], dtype=np.int16)
-    context = types.SimpleNamespace(_full_circle=table)
-    levels = nilpotency._exhaustive_levels(context, 4)
-    assert [level.tolist() for level in levels] == [[2, 3], [2, 3], [2, 3]]
+
+    def rows(context, ids, out):
+        out[...] = table[ids]
+        return out
+
+    monkeypatch.setattr(nilpotency, "_full_circle_table", rows)
+    for batch_bytes in (nilpotency._TABLE_BATCH_BYTES, 1):
+        monkeypatch.setattr(nilpotency, "_TABLE_BATCH_BYTES", batch_bytes)
+        context = make("Z2", "C2")
+        levels = nilpotency._exhaustive_levels(context, 4)
+        assert [level.tolist() for level in levels] == [[2, 3], [2, 3], [2, 3]]
+        assert (context._circle_setup.step >= context.size) == (batch_bytes > 1)
 
 
 SMALL_BUILTIN_CONTEXTS = [(r, g) for r in BUILTIN_RING_NAMES for g in BUILTIN_GROUP_NAMES
@@ -455,24 +478,25 @@ SMALL_BUILTIN_CONTEXTS = [(r, g) for r in BUILTIN_RING_NAMES for g in BUILTIN_GR
 @pytest.mark.parametrize("ring,group", SMALL_BUILTIN_CONTEXTS + [("Z3", "S3"), ("Z4'", "C2xC2")])
 def test_circle_table_is_symmetric(ring, group):
     # a o b = ab + ba = b o a, which degree 2 of the level walk rests on
-    table = nilpotency._full_circle_table(make_any(ring, group))
+    table = whole_table(make_any(ring, group))
     assert np.array_equal(table, table.T)
 
 
 @pytest.mark.parametrize("ring,group", [("T2Z4", "C2"), ("Z8", "C4")])
 def test_exhaustive_levels_transient_memory(ring, group):
-    # with the table built, the walk holds at most 1 MB next to it; a copy
-    # of the degree-2 rows, table[values], would take 32 MB
+    # a cold check to degree 4 holds at most 4 MB, rows included: the
+    # degree-2 batches and the kept rows of the degree-2 values (about 2 MB
+    # here), where the whole table would take 32 MB
     rg = make(ring, group)
-    nilpotency._full_circle_table(rg)
     tracemalloc.start()
     try:
-        levels = nilpotency._exhaustive_levels(rg, 4)
+        exhaustive_check(rg, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert levels[0].size > 0
-    assert peak <= 1 << 20, peak
+    levels = nilpotency._exhaustive_levels(rg, 4)
+    assert len(levels) == 3 and levels[0].size > 0
+    assert peak <= 4 << 20, peak
 
 
 @pytest.mark.parametrize("ring,group", [("Z8", "C2"), ("Z4", "C1"), ("T2Z4", "C1")])
@@ -488,6 +512,53 @@ def test_exhaustive_levels_are_cached_in_any_call_order(ring, group):
     assert exhaustive_check(rg, 6) == exhaustive_check(make(ring, group), 6)
 
 
+# Batches of one, three and seven rows: degree 2 marks each batch alone,
+# degree 3 computes and keeps the rows of the degree-2 values across batch
+# edges, and no context keeps its one batch.
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("ring,group", [("Z4", "C2"), ("T2Z4", "C1"), ("Z2", "D4"),
+                                        ("Z2", "S3"), ("Z3", "S3"), ("M2F2", "C2")])
+def test_exhaustive_levels_do_not_depend_on_the_batch(monkeypatch, ring, group, rows):
+    rg = make_any(ring, group)
+    want = unique_level_walk(rg, 6)
+    monkeypatch.setattr(nilpotency, "_TABLE_BATCH_BYTES",
+                        rows * nilpotency._table_row_bytes(_engine.table_context(rg)))
+    rg = make_any(ring, group)
+    got = nilpotency._exhaustive_levels(rg, 6)
+    assert rg._circle_setup.step == rows
+    assert len(got) == len(want)
+    assert all(np.array_equal(mine, ref) for mine, ref in zip(got, want))
+
+
+NESTED_CONTEXTS = SMALL_BUILTIN_CONTEXTS + [("Z3", "S3"), ("Z4'", "C2xC2")]
+
+
+@pytest.mark.parametrize("ring,group", NESTED_CONTEXTS)
+def test_exhaustive_levels_are_nested(ring, group):
+    # L_{k+1} is in L_k, which lets every level past 2 read only the rows of
+    # L_2's values
+    levels = nilpotency._exhaustive_levels(make_any(ring, group), 6)
+    for deeper, level in zip(levels[1:], levels):
+        assert np.isin(deeper, level).all()
+
+
+# T2Z4[C2] takes 46 rows a batch of 4096; Z2[D4] and Z4[C2] take their
+# whole table in one batch.
+@pytest.mark.parametrize("ring,group", [("T2Z4", "C2"), ("Z2", "D4"), ("Z4", "C2")])
+def test_each_circle_row_is_computed_once(monkeypatch, ring, group):
+    # every row at degree 2, then the rows of the degree-2 values once,
+    # unless the one batch of degree 2 is kept; degrees asked out of order
+    fresh = [exhaustive_check(make(ring, group), n) for n in (4, 2, 3, 6)]
+    rg = make(ring, group)
+    calls = spy_product_with_row(monkeypatch)
+    assert [exhaustive_check(rg, n) for n in (4, 2, 3, 6)] == fresh
+    setup, levels = rg._circle_setup, rg._circle_levels
+    one_batch = setup.step >= rg.size
+    assert one_batch == ((ring, group) != ("T2Z4", "C2"))
+    assert sum(calls) == rg.size + (0 if one_batch else levels[0].size)
+    assert np.array_equal(setup.kept[0], np.arange(rg.size) if one_batch else levels[0])
+
+
 def test_exhaustive_check_accepts_bare_rings():
     assert exhaustive_check(builtin_ring("Z4"), 3)
     assert not exhaustive_check(builtin_ring("Z4"), 2)
@@ -495,7 +566,7 @@ def test_exhaustive_check_accepts_bare_rings():
 
 
 def test_bare_ring_builds_its_table_once(monkeypatch):
-    # three degrees on one bare ring: one table build, one batch of rows.
+    # three degrees on one bare ring: one batch of rows, kept.
     # A fresh copy of T2Z4, since the built-in one is shared by every test.
     want = [exhaustive_check(make("T2Z4", "C1"), n) for n in (2, 3, 4)]
     calls = spy_product_with_row(monkeypatch)
@@ -512,7 +583,7 @@ def test_bare_ring_dies_after_an_exhaustive_check():
     gc.disable()
     try:
         assert exhaustive_check(R, 3) and not exhaustive_check(R, 2)
-        assert R._full_circle is not None and R._circle_levels
+        assert R._circle_setup.kept is not None and R._circle_levels
         del R
         assert ring() is None
     finally:
@@ -653,7 +724,7 @@ def no_table_work(monkeypatch):
     """Make every table build and every table-context lookup fail."""
     def refuse(*args):
         raise AssertionError("table work before the degree check")
-    for name in ("_full_circle_table", "_exhaustive_levels", "_table_context"):
+    for name in ("_full_circle_table", "_exhaustive_levels", "_circle_setup", "_table_context"):
         monkeypatch.setattr(nilpotency, name, refuse)
 
 
